@@ -104,6 +104,9 @@ pub struct Dfms {
     queue: EventQueue<Work>,
     runs: Vec<Run>,
     txn_index: BTreeMap<String, RunId>,
+    /// The first run submitted under each lineage (restarts add later
+    /// runs to a lineage; the first stays).
+    lineage_index: BTreeMap<String, RunId>,
     pending_ops: BTreeMap<(RunId, usize), PendingOp>,
     provenance: ProvenanceStore,
     notifications: Vec<Notification>,
@@ -155,6 +158,7 @@ impl Dfms {
             queue: EventQueue::new(),
             runs: Vec::new(),
             txn_index: BTreeMap::new(),
+            lineage_index: BTreeMap::new(),
             pending_ops: BTreeMap::new(),
             provenance: ProvenanceStore::new(),
             notifications: Vec::new(),
@@ -750,6 +754,7 @@ impl Dfms {
         let lineage = run.lineage.clone();
         self.runs.push(run);
         self.txn_index.insert(txn.clone(), id);
+        self.lineage_index.entry(lineage.clone()).or_insert(id);
         self.obs.set_now(self.now());
         // The root of the run's trace: every span below — requests,
         // bindings, DGMS ops, transfers, trigger actions — parents back
@@ -3069,6 +3074,15 @@ impl Dfms {
                 }
             })
             .collect()
+    }
+
+    /// The transaction of the first run submitted under `lineage`, if
+    /// any — the run [`Dfms::flow_summaries`] lists first for it. A
+    /// [`Dfms::restart`] adds a later run to the lineage and leaves this
+    /// answer unchanged. One lookup, whatever the history.
+    pub fn first_txn_of_lineage(&self, lineage: &str) -> Option<&str> {
+        let id = self.lineage_index.get(lineage)?;
+        Some(&self.runs[id.0 as usize].txn)
     }
 
     /// The current value of flow variable `name` in `txn`'s root scope

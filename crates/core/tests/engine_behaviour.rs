@@ -359,6 +359,43 @@ fn stop_then_restart_resumes_from_provenance() {
 }
 
 #[test]
+fn lineage_lookup_names_the_first_run_across_restarts() {
+    let mut d = dfms();
+    let archive = |dir: &str| {
+        FlowBuilder::sequential("archive")
+            .step("mk", DglOperation::CreateCollection { path: dir.into() })
+            .step("a", ingest_op(&format!("{dir}/a"), 80_000_000))
+            .step("b", ingest_op(&format!("{dir}/b"), 80_000_000))
+            .build()
+            .unwrap()
+    };
+    let delegated = RunOptions { lineage: Some("fed:x1/0".into()), ..RunOptions::default() };
+    let plain = d.submit_flow("u", archive("/p")).unwrap();
+    let txn = d.submit_flow_with("u", archive("/d"), delegated).unwrap();
+    d.pump_until(SimTime::ZERO + Duration::from_millis(1_500));
+    d.stop(&plain).unwrap();
+    d.stop(&txn).unwrap();
+    d.pump();
+    let txn2 = d.restart(&txn).unwrap();
+    let plain2 = d.restart(&plain).unwrap();
+    d.pump();
+    assert_eq!(d.status(&txn2, None).unwrap().state, RunState::Completed);
+
+    // The scan the lookup replaces: the first summary with the lineage.
+    let scanned = |lineage: &str| {
+        d.flow_summaries().into_iter().find(|f| f.lineage == lineage).map(|f| f.transaction)
+    };
+    for (lineage, first, later) in [("fed:x1/0", &txn, &txn2), (plain.as_str(), &plain, &plain2)] {
+        assert_eq!(d.flow_summaries().iter().filter(|f| f.lineage == lineage).count(), 2);
+        assert_eq!(d.first_txn_of_lineage(lineage), Some(first.as_str()), "{lineage}");
+        assert_eq!(d.first_txn_of_lineage(lineage).map(str::to_owned), scanned(lineage));
+        assert_ne!(d.first_txn_of_lineage(lineage), Some(later.as_str()));
+    }
+    assert_eq!(d.first_txn_of_lineage("fed:x9/0"), None);
+    assert_eq!(d.first_txn_of_lineage(&txn), None, "a delegated run's txn is not its lineage");
+}
+
+#[test]
 fn status_queries_address_any_node() {
     let mut d = dfms();
     let flow = FlowBuilder::sequential("outer")

@@ -713,12 +713,8 @@ impl Fabric {
                 // Re-delivery after a partial crash must not submit
                 // twice: an existing run with this lineage IS the
                 // earlier application.
-                if let Some(existing) = shard
-                    .engine
-                    .flow_summaries()
-                    .into_iter()
-                    .find(|f| f.lineage == lineage)
-                    .map(|f| f.transaction)
+                if let Some(existing) =
+                    shard.engine.first_txn_of_lineage(&lineage).map(str::to_owned)
                 {
                     self.note_txn_home(existing.clone(), &env.to);
                     if let Some(run) = self.fed.get_mut(origin) {
@@ -1136,13 +1132,8 @@ impl Fabric {
                     let child = self
                         .shards
                         .get(&env.to)
-                        .and_then(|s| {
-                            s.engine
-                                .flow_summaries()
-                                .into_iter()
-                                .find(|f| f.lineage == lineage)
-                                .map(|f| f.transaction)
-                        });
+                        .and_then(|s| s.engine.first_txn_of_lineage(&lineage))
+                        .map(str::to_owned);
                     // Mark the sender side regardless: the send frame
                     // proves the delegate was published.
                     let parent_span = self.fed.get(origin).and_then(|r| r.span);

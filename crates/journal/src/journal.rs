@@ -130,6 +130,10 @@ pub enum JournalError {
     /// An append was handed a record the journal cannot frame (unknown
     /// element name, oversized payload).
     BadRecord(String),
+    /// A frame the journal already wrote no longer validates, so the
+    /// records after it cannot be read back. Compaction refuses to
+    /// rewrite such a file rather than drop those records.
+    Corrupt(String),
 }
 
 impl fmt::Display for JournalError {
@@ -138,6 +142,7 @@ impl fmt::Display for JournalError {
             JournalError::Io(msg) => write!(f, "journal I/O: {msg}"),
             JournalError::BadHeader(msg) => write!(f, "not a journal: {msg}"),
             JournalError::BadRecord(msg) => write!(f, "unframeable record: {msg}"),
+            JournalError::Corrupt(msg) => write!(f, "journal corrupt: {msg}"),
         }
     }
 }
@@ -325,9 +330,28 @@ impl Journal {
     /// after it; drop older transitions and stale checkpoints, whose
     /// content the checkpoint subsumes. Atomic: the new file is written
     /// beside the old and renamed over it.
+    ///
+    /// Fails with [`JournalError::Corrupt`], leaving the file as it
+    /// was, when the re-read stops short of the append position: a
+    /// frame inside the file no longer validates, and a rewrite would
+    /// silently drop every record after it.
     pub fn compact(&mut self, checkpoint_seq: u64) -> Result<CompactStats, JournalError> {
         self.sync()?;
-        let (records, _) = Self::read(&self.path)?;
+        // Scoped so the file image is freed before the rewrite below;
+        // holding both would raise peak memory by the journal's size.
+        let (records, readable) = {
+            let bytes = fs::read(&self.path)
+                .map_err(|e| io_err(&format!("read {}", self.path.display()), e))?;
+            parse_frames(&bytes)?
+        };
+        if readable < self.offset {
+            return Err(JournalError::Corrupt(format!(
+                "{}: the frame at byte {readable} fails validation, {} of {} written bytes unreadable",
+                self.path.display(),
+                self.offset - readable,
+                self.offset
+            )));
+        }
         let bytes_before = self.offset;
         let keep: Vec<&Record> = records
             .iter()
@@ -622,6 +646,40 @@ mod tests {
         let seqs: Vec<u64> = recs.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![1, 2, 13, 14, 15, 16]);
         assert_eq!(report.last_checkpoint_seq, Some(13));
+        fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn compaction_refuses_a_corrupt_middle_frame() {
+        let p = tmp("compact-corrupt");
+        let (mut j, _, _) = Journal::open(&p, SyncPolicy::EveryRecord).unwrap();
+        j.append(Element::new("genesis").with_attr("label", "g")).unwrap(); // 1
+        j.append(cmd("submit")).unwrap(); // 2
+        j.append(trans("step.done")).unwrap(); // 3
+        j.append(cmd("pump")).unwrap(); // 4
+        j.append(cmd("stop")).unwrap(); // 5
+        let ck = j.append(Element::new("checkpoint")).unwrap(); // 6
+        // Flip one payload byte inside the transition frame (seq 3).
+        let mut bytes = fs::read(&p).unwrap();
+        let mut off = FILE_HEADER.len();
+        for _ in 0..2 {
+            let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+            off += 8 + len;
+        }
+        bytes[off + 12] ^= 0x40;
+        fs::write(&p, &bytes).unwrap();
+
+        match j.compact(ck) {
+            Err(JournalError::Corrupt(msg)) => assert!(msg.contains("fails validation"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        assert_eq!(fs::read(&p).unwrap(), bytes, "the journal is left byte-identical");
+        assert!(!p.with_extension("compact-tmp").exists());
+        drop(j);
+        // The damage stays visible to the next open.
+        let (_, recs, report) = Journal::open(&p, SyncPolicy::default()).unwrap();
+        assert_eq!(recs.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![1, 2]);
+        assert!(report.truncated_bytes > 0);
         fs::remove_file(&p).unwrap();
     }
 

@@ -468,9 +468,10 @@ impl Obs {
     }
 
     /// Analyze a finished flow: compute its critical path from the
-    /// trace's span tree (plus any recorded wait marks) and retain it
+    /// trace's span tree (plus the flow's own wait marks) and retain it
     /// for [`Obs::why_paths`] / [`Obs::why_bottlenecks`]. A no-op when
-    /// the root span is unknown or still open.
+    /// the root span is unknown or still open. Reads only this flow's
+    /// spans and marks, so its cost does not grow with history.
     pub fn why_flow_finished(&self, root: SpanContext) {
         let mut inner = self.lock();
         let spans = inner.traces.trace_spans(root.trace);

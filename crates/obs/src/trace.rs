@@ -8,6 +8,12 @@
 //! requirement ("inspectable even (years) after the execution", §2.1)
 //! wants the causal record whole; bound memory by scoping a store to a
 //! run, as the engine does per server.
+//!
+//! The store keeps each trace's span positions beside the spans, so a
+//! per-flow read ([`TraceStore::trace_spans`], and through it the
+//! critical path of a finishing flow and status `with_trace`) touches
+//! only that flow's spans and costs the same however much history the
+//! store holds.
 
 use crate::span::{Span, SpanContext, SpanId, SpanKind, TraceId};
 use dgf_simgrid::SimTime;
@@ -18,7 +24,10 @@ use std::collections::BTreeMap;
 #[derive(Debug, Default)]
 pub(crate) struct TraceStore {
     spans: Vec<Span>,
-    next_trace: u64,
+    /// Positions in `spans` of each trace's spans, in creation order.
+    /// Trace ids run from 1, so trace `t` is entry `t - 1`; the length
+    /// is the number of traces allocated so far.
+    by_trace: Vec<Vec<u32>>,
     /// Completed-span durations (µs) per kind, in completion order;
     /// sorted copies feed the percentile gauges at snapshot time.
     durations: BTreeMap<SpanKind, Vec<u64>>,
@@ -37,11 +46,17 @@ impl TraceStore {
         let trace = match parent {
             Some(ctx) => ctx.trace,
             None => {
-                self.next_trace += 1;
-                TraceId(self.next_trace)
+                self.by_trace.push(Vec::new());
+                TraceId(self.by_trace.len() as u64)
             }
         };
-        let id = SpanId(self.spans.len() as u64 + 1);
+        let pos = self.spans.len();
+        // A child of a context some other store allocated keeps that
+        // trace id but is not indexed: there is no such trace here.
+        if let Some(positions) = slot(trace).and_then(|t| self.by_trace.get_mut(t)) {
+            positions.push(u32::try_from(pos).expect("fewer than 2^32 spans per store"));
+        }
+        let id = SpanId(pos as u64 + 1);
         self.spans.push(Span {
             id,
             trace,
@@ -82,9 +97,11 @@ impl TraceStore {
         &self.spans
     }
 
-    /// The spans of one trace, in creation order.
+    /// The spans of one trace, in creation order; empty for a trace
+    /// this store never allocated. Reads only that trace's spans.
     pub(crate) fn trace_spans(&self, trace: TraceId) -> Vec<Span> {
-        self.spans.iter().filter(|s| s.trace == trace).cloned().collect()
+        let positions = slot(trace).and_then(|t| self.by_trace.get(t));
+        positions.into_iter().flatten().map(|&pos| self.spans[pos as usize].clone()).collect()
     }
 
     /// Completed durations per kind (completion order, unsorted).
@@ -96,6 +113,11 @@ impl TraceStore {
         // Ids are 1-based indexes into the append-only vector.
         self.spans.get_mut(id.0.checked_sub(1)? as usize)
     }
+}
+
+/// The `by_trace` entry of `trace`: ids run from 1.
+fn slot(trace: TraceId) -> Option<usize> {
+    trace.0.checked_sub(1).map(|t| t as usize)
 }
 
 #[cfg(test)]
@@ -114,6 +136,35 @@ mod tests {
         assert_eq!(other.trace, TraceId(2));
         assert_eq!(store.spans()[1].parent, Some(root.span));
         assert_eq!(store.trace_spans(root.trace).len(), 2);
+    }
+
+    #[test]
+    fn trace_spans_reads_one_trace_in_creation_order() {
+        let mut store = TraceStore::default();
+        let a = store.start(SimTime(0), SpanKind::Flow, "a", None);
+        let b = store.start(SimTime(0), SpanKind::Flow, "b", None);
+        let a1 = store.start(SimTime(1), SpanKind::Request, "a1", Some(a));
+        let b1 = store.start(SimTime(1), SpanKind::Request, "b1", Some(b));
+        let a2 = store.start(SimTime(2), SpanKind::DgmsOp, "a2", Some(a1));
+        let b2 = store.start(SimTime(2), SpanKind::Request, "b2", Some(b));
+        let a3 = store.start(SimTime(3), SpanKind::Request, "a3", Some(a));
+        let ids = |t: TraceId| -> Vec<SpanId> { store.trace_spans(t).iter().map(|s| s.id).collect() };
+        assert_eq!(ids(a.trace), vec![a.span, a1.span, a2.span, a3.span]);
+        assert_eq!(ids(b.trace), vec![b.span, b1.span, b2.span]);
+        // Each trace's spans are exactly the ones a full scan finds.
+        for t in [a.trace, b.trace] {
+            let scanned: Vec<Span> = store.spans().iter().filter(|s| s.trace == t).cloned().collect();
+            assert_eq!(store.trace_spans(t), scanned);
+        }
+        assert!(store.trace_spans(TraceId(0)).is_empty());
+        assert!(store.trace_spans(TraceId(3)).is_empty(), "never allocated");
+        // A child of a context no store here allocated is kept, but no
+        // trace of this store claims it.
+        let foreign = SpanContext { trace: TraceId(9), span: SpanId(1) };
+        store.start(SimTime(4), SpanKind::Request, "stray", Some(foreign));
+        assert_eq!(store.spans().len(), 8);
+        assert!(store.trace_spans(TraceId(9)).is_empty());
+        assert_eq!(store.start(SimTime(5), SpanKind::Flow, "c", None).trace, TraceId(3));
     }
 
     #[test]

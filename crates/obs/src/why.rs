@@ -228,7 +228,11 @@ impl SlaAlert {
 /// the span store; the `Obs` `why_*` methods are the public surface.
 #[derive(Debug, Default)]
 pub(crate) struct WhyStore {
+    /// Every wait mark, in recording order.
     marks: Vec<WaitMark>,
+    /// Positions in `marks` of each transaction's marks, in recording
+    /// order, so a finishing flow reads only its own.
+    marks_by_txn: BTreeMap<String, Vec<u32>>,
     paths: Vec<CriticalPath>,
     alerts: Vec<SlaAlert>,
     attributed_us: u64,
@@ -236,6 +240,8 @@ pub(crate) struct WhyStore {
 
 impl WhyStore {
     pub(crate) fn add_mark(&mut self, mark: WaitMark) {
+        let pos = u32::try_from(self.marks.len()).expect("fewer than 2^32 wait marks");
+        self.marks_by_txn.entry(mark.txn.clone()).or_default().push(pos);
         self.marks.push(mark);
     }
 
@@ -244,9 +250,15 @@ impl WhyStore {
     }
 
     /// Analyze one finished flow's span tree and append its critical
-    /// path (no-op when the root span is unknown or still open).
+    /// path (no-op when the root span is unknown or still open). Reads
+    /// only the flow's own wait marks.
     pub(crate) fn flow_finished(&mut self, spans: &[Span], root: SpanId) {
-        if let Some(path) = critical_path(spans, root, &self.marks) {
+        let (marks, by_txn) = (&self.marks, &self.marks_by_txn);
+        let path = critical_path_with(spans, root, |txn| {
+            let positions = by_txn.get(txn).into_iter().flatten();
+            positions.map(|&pos| &marks[pos as usize]).collect()
+        });
+        if let Some(path) = path {
             self.attributed_us += path.makespan_us();
             self.paths.push(path);
         }
@@ -325,22 +337,34 @@ impl WhyStore {
 ///
 /// The walk starts at the root span's end and repeatedly descends into
 /// the child span that finished latest before the cursor; the gaps in
-/// between are classified via the `marks` overlapping them, falling
+/// between are classified via the root transaction's `marks`
+/// overlapping them (other transactions' marks are ignored), falling
 /// back to `executing` (inside a step bound to a compute resource) or
 /// `lint/admission` (flow-level bookkeeping). Returns `None` when
 /// `root` is missing from `spans` or still open.
 pub fn critical_path(spans: &[Span], root: SpanId, marks: &[WaitMark]) -> Option<CriticalPath> {
+    critical_path_with(spans, root, |txn| marks.iter().filter(|m| m.txn == txn).collect())
+}
+
+/// [`critical_path`], with `marks_of` handing over the marks of the
+/// root's transaction (in recording order) once the root is known.
+fn critical_path_with<'m>(
+    spans: &[Span],
+    root: SpanId,
+    marks_of: impl FnOnce(&str) -> Vec<&'m WaitMark>,
+) -> Option<CriticalPath> {
     let root_span = spans.iter().find(|s| s.id == root)?;
     let end = root_span.end?;
     let txn = root_span.attr("txn").unwrap_or(&root_span.name).to_owned();
     let caused_by = root_span.attr("cause.trigger").map(str::to_owned);
+    let marks = marks_of(&txn);
     let mut children: BTreeMap<SpanId, Vec<&Span>> = BTreeMap::new();
     for s in spans {
         if let Some(parent) = s.parent {
             children.entry(parent).or_default().push(s);
         }
     }
-    let walker = Walker { children, txn: txn.clone(), caused_by: caused_by.clone(), marks };
+    let walker = Walker { children, caused_by: caused_by.clone(), marks };
     let mut segments = Vec::new();
     walker.walk(root_span, end, &mut segments);
     segments.sort_by_key(|s| (s.from, s.until));
@@ -376,14 +400,14 @@ fn merge_adjacent(segments: &mut Vec<PathSegment>) {
     *segments = merged;
 }
 
-struct Walker<'a> {
+struct Walker<'a, 'm> {
     children: BTreeMap<SpanId, Vec<&'a Span>>,
-    txn: String,
     caused_by: Option<String>,
-    marks: &'a [WaitMark],
+    /// The flow's own wait marks, in recording order.
+    marks: Vec<&'m WaitMark>,
 }
 
-impl Walker<'_> {
+impl Walker<'_, '_> {
     /// Partition `[span.start, clip_end)` of `span` into segments.
     fn walk(&self, span: &Span, clip_end: SimTime, out: &mut Vec<PathSegment>) {
         let node = self.node_of(span);
@@ -516,7 +540,8 @@ impl Walker<'_> {
         let mut overlaps: Vec<&WaitMark> = self
             .marks
             .iter()
-            .filter(|m| m.txn == self.txn && m.from < until && m.until > from)
+            .copied()
+            .filter(|m| m.from < until && m.until > from)
             .collect();
         overlaps.sort_by(|a, b| {
             (a.from, a.until, &a.resource).cmp(&(b.from, b.until, &b.resource))
@@ -750,6 +775,55 @@ mod tests {
         assert_eq!(rows[0].share_ppm, 750_000);
         assert_eq!(rows[1].share_ppm, 250_000);
         assert_eq!(store.bottlenecks(1).len(), 1);
+    }
+
+    #[test]
+    fn store_reads_only_the_flows_own_marks() {
+        let mark = |txn: &str, from: u64, until: u64, resource: &str| WaitMark {
+            txn: txn.into(),
+            node: "/0".into(),
+            state: WaitState::QueuedForCluster,
+            from: SimTime(from),
+            until: SimTime(until),
+            resource: resource.into(),
+        };
+        let spans = vec![
+            span(1, None, SpanKind::Flow, "f", 0, 100, &[("txn", "t1")]),
+            span(2, Some(1), SpanKind::Request, "step", 0, 100, &[("node", "/0")]),
+            span(
+                3,
+                Some(2),
+                SpanKind::SchedulerBinding,
+                "bind",
+                60,
+                60,
+                &[("compute", "hpc"), ("result", "bound")],
+            ),
+        ];
+        // Other flows' marks interleave with t1's and overlap the same
+        // interval; recorded before, between and after t1's own.
+        let all = vec![
+            mark("t2", 0, 50, "pool:other"),
+            mark("t1", 0, 30, "pool:hpc"),
+            mark("t10", 10, 40, "pool:other"),
+            mark("t2", 50, 90, "pool:other"),
+            mark("t1", 30, 60, "pool:hpc"),
+            mark("t3", 0, 100, "window"),
+        ];
+        let mut store = WhyStore::default();
+        for m in &all {
+            store.add_mark(m.clone());
+        }
+        assert_eq!(store.marks(), &all[..], "marks stay in recording order");
+        store.flow_finished(&spans, SpanId(1));
+        let expected = critical_path(&spans, SpanId(1), &all).unwrap();
+        assert_eq!(store.paths(), std::slice::from_ref(&expected));
+        assert_eq!(expected.segments[0].resource, "pool:hpc");
+        assert_eq!(expected.segments[0].duration_us(), 60);
+        // A flow without marks still gets its path.
+        let other = vec![span(1, None, SpanKind::Flow, "g", 0, 10, &[("txn", "t4")])];
+        store.flow_finished(&other, SpanId(1));
+        assert_eq!(store.paths()[1], critical_path(&other, SpanId(1), &all).unwrap());
     }
 
     #[test]
