@@ -462,17 +462,7 @@ impl Dfms {
         } else {
             Vec::new()
         };
-        let bottlenecks = self
-            .obs
-            .why_bottlenecks(q.top_k as usize)
-            .iter()
-            .map(|b| dgf_dgl::WhyBottleneck {
-                state: wait_state_to_dgl(b.state),
-                resource: b.resource.clone(),
-                total_us: b.total_us,
-                share_ppm: b.share_ppm,
-            })
-            .collect();
+        let bottlenecks = self.obs.why_bottlenecks(q.top_k as usize);
         let alerts = if q.alerts {
             self.obs
                 .why_alerts()
@@ -781,7 +771,7 @@ impl Dfms {
             self.obs.record(ObsKind::SlaAlert {
                 txn: txn.clone(),
                 class: class.clone(),
-                state: dgf_obs::AlertState::Pending,
+                state: dgf_dgl::AlertState::Pending,
                 burn_ppm: 0,
             });
             if self.journal_transition(
@@ -797,7 +787,7 @@ impl Dfms {
                     flow: flow_name.clone(),
                     started: now,
                     deadline,
-                    state: dgf_obs::AlertState::Pending,
+                    state: dgf_dgl::AlertState::Pending,
                     fired_at: None,
                     resolved_at: None,
                     breached: false,
@@ -982,7 +972,7 @@ impl Dfms {
             self.obs.record(ObsKind::SlaAlert {
                 txn: txn.clone(),
                 class: alert.class.clone(),
-                state: dgf_obs::AlertState::Firing,
+                state: dgf_dgl::AlertState::Firing,
                 burn_ppm: burn,
             });
             if self.journal_transition(
@@ -1315,7 +1305,7 @@ impl Dfms {
                     self.obs.observe("engine", "window.wait", wait);
                     // Attribution: the park interval is a wait mark so
                     // the critical path charges it to `window-closed`.
-                    self.obs.why_mark(&txn, &path, dgf_obs::WaitState::WindowClosed, now, reopen, "window");
+                    self.obs.why_mark(&txn, &path, dgf_dgl::WaitState::WindowClosed, now, reopen, "window");
                     self.obs.record(ObsKind::WindowWait { txn, node: path, resume_us: reopen.0 });
                     self.queue.schedule_at(reopen, Work::Start { run: run_id, node: node_id });
                     return;
@@ -2084,7 +2074,7 @@ impl Dfms {
                         self.obs.why_mark(
                             &txn,
                             &path_id,
-                            dgf_obs::WaitState::QueuedForCluster,
+                            dgf_dgl::WaitState::QueuedForCluster,
                             now,
                             now + QUEUE_RETRY_INTERVAL,
                             &pool,
@@ -2546,13 +2536,13 @@ impl Dfms {
         // its deadline. Journaled like the firing, so recovery replays
         // the full lifecycle byte-identically.
         if let Some(alert) = self.obs.why_alert(&txn) {
-            if alert.state != dgf_obs::AlertState::Resolved {
+            if alert.state != dgf_dgl::AlertState::Resolved {
                 let breached = finished > alert.deadline;
                 let burn = alert.burn_ppm(finished);
                 self.obs.record(ObsKind::SlaAlert {
                     txn: txn.clone(),
                     class: alert.class.clone(),
-                    state: dgf_obs::AlertState::Resolved,
+                    state: dgf_dgl::AlertState::Resolved,
                     burn_ppm: burn,
                 });
                 if self.journal_transition(
@@ -3177,28 +3167,10 @@ fn abstract_task_from_spec(step: &Step, vo: Option<String>) -> Option<AbstractTa
 }
 
 // ----------------------------------------------------------------------
-// obs ↔ DGL attribution-type mapping (dgf-obs cannot see dgf-dgl, so
-// the taxonomy enums exist in both crates; the engine is the bridge).
+// obs → DGL attribution reports. dgf-obs keeps sim-time values (and
+// computes burn against the engine clock); the wire carries sim-µs. The
+// wait-state and alert-state enums are dgf-dgl's own, shared by both.
 // ----------------------------------------------------------------------
-
-fn wait_state_to_dgl(s: dgf_obs::WaitState) -> dgf_dgl::WaitState {
-    match s {
-        dgf_obs::WaitState::Executing => dgf_dgl::WaitState::Executing,
-        dgf_obs::WaitState::QueuedForCluster => dgf_dgl::WaitState::QueuedForCluster,
-        dgf_obs::WaitState::TransferOnLink => dgf_dgl::WaitState::TransferOnLink,
-        dgf_obs::WaitState::WindowClosed => dgf_dgl::WaitState::WindowClosed,
-        dgf_obs::WaitState::TriggerWait => dgf_dgl::WaitState::TriggerWait,
-        dgf_obs::WaitState::LintAdmission => dgf_dgl::WaitState::LintAdmission,
-    }
-}
-
-fn alert_state_to_dgl(s: dgf_obs::AlertState) -> dgf_dgl::AlertState {
-    match s {
-        dgf_obs::AlertState::Pending => dgf_dgl::AlertState::Pending,
-        dgf_obs::AlertState::Firing => dgf_dgl::AlertState::Firing,
-        dgf_obs::AlertState::Resolved => dgf_dgl::AlertState::Resolved,
-    }
-}
 
 fn why_path_to_dgl(p: &dgf_obs::CriticalPath) -> dgf_dgl::WhyPath {
     dgf_dgl::WhyPath {
@@ -3213,7 +3185,7 @@ fn why_path_to_dgl(p: &dgf_obs::CriticalPath) -> dgf_dgl::WhyPath {
             .map(|s| dgf_dgl::WhySegment {
                 from_us: s.from.0,
                 until_us: s.until.0,
-                state: wait_state_to_dgl(s.state),
+                state: s.state,
                 resource: s.resource.clone(),
                 node: s.node.clone(),
             })
@@ -3230,7 +3202,7 @@ fn why_alert_to_dgl(a: &dgf_obs::SlaAlert, now: SimTime) -> dgf_dgl::WhyAlert {
         flow: a.flow.clone(),
         started_us: a.started.0,
         deadline_us: a.deadline.0,
-        state: alert_state_to_dgl(a.state),
+        state: a.state,
         burn_ppm: a.burn_ppm(now),
         fired_at_us: a.fired_at.map(|t| t.0),
         resolved_at_us: a.resolved_at.map(|t| t.0),

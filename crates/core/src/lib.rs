@@ -23,9 +23,9 @@
 //!   the event feed (AFTER), with cascade-depth control;
 //! * recurring window-constrained **ILM jobs** ([`dgf_ilm::IlmJob`]);
 //! * a threaded **server front-end** ([`DfmsServer`]) speaking DGL XML
-//!   over channels — the request/response protocol of Appendix A;
-//! * a **peer-to-peer DfMS network** ([`DfmsNetwork`]) with a lookup
-//!   service, as sketched in §3.2;
+//!   over channels — the request/response protocol of Appendix A (the
+//!   peer-to-peer network of §3.2, one engine per administrative
+//!   domain behind a lookup service, is the `dgf-fabric` crate);
 //! * a shared **observability layer** ([`dgf_obs`]): every engine owns a
 //!   flight recorder and metrics registry ([`Dfms::obs`]), and status
 //!   queries can return recent events and metric snapshots
@@ -45,7 +45,6 @@
 
 mod engine;
 mod error;
-mod network;
 mod provenance;
 mod recovery;
 mod run;
@@ -55,7 +54,6 @@ mod time_travel;
 pub use dgf_obs::{EventKind as ObsEventKind, MetricsSnapshot, Obs, ObsEvent};
 pub use engine::{Dfms, EngineMetrics, Notification};
 pub use error::DfmsError;
-pub use network::{first_path, DfmsNetwork, LookupService};
 pub use provenance::{ProvenanceError, ProvenanceQuery, ProvenanceRecord, ProvenanceStore, StepOutcome};
 pub use dgf_journal::SyncPolicy;
 pub use recovery::JournalConfig;

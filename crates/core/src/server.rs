@@ -536,6 +536,13 @@ mod tests {
     fn every_bad_document_yields_a_structured_error_never_none() {
         let server = DfmsServer::start(engine());
         let handle = server.handle();
+        // A 40 KB loop condition `1+1+…+1 < 0`: evaluating, linting or
+        // dropping the left-deep tree of a 20 000-term chain would
+        // overflow the server thread's stack, so parsing must refuse it.
+        let long_chain = format!(
+            "<dataGridRequest id=\"r\"><gridUser name=\"u\"/><flow name=\"f\"><flowLogic><while><tcondition>{} &lt; 0</tcondition></while></flowLogic><children/></flow></dataGridRequest>",
+            vec!["1"; 20_000].join("+")
+        );
         for bad in [
             "",                                  // empty document
             "<unclosed",                         // malformed XML
@@ -543,6 +550,7 @@ mod tests {
             "<wrongRoot/>",                      // well-formed, wrong root
             "<dataGridRequest id=\"r\"/>",       // recognized root, no body
             "<dataGridRequest id=\"r\"><mystery/></dataGridRequest>", // unknown body
+            long_chain.as_str(),                 // binary chain too long
         ] {
             let xml = handle
                 .request(bad)

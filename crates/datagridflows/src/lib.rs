@@ -18,7 +18,7 @@
 //! | [`scheduler`] | `dgf-scheduler` | planners, cost model, SLAs, virtual data |
 //! | [`triggers`] | `dgf-triggers` | event–condition–action datagrid triggers |
 //! | [`ilm`] | `dgf-ilm` | information lifecycle management, star flows |
-//! | [`dfms`] | `dgf-dfms` | the engine: lifecycle, provenance, server, P2P |
+//! | [`dfms`] | `dgf-dfms` | the engine: lifecycle, provenance, server |
 //! | [`fabric`] | `dgf-fabric` | federated shards over a journaled virtual-time bus |
 //! | [`baselines`] | `dgf-baselines` | cron-script ILM, client-side engine |
 //!
@@ -128,7 +128,7 @@ pub mod journal {
 pub mod prelude {
     pub use crate::baselines::{ClientCrash, ClientSideEngine, CronEntry, CronRule, CronScriptIlm};
     pub use crate::dfms::{
-        BisectOutcome, BisectPredicate, Dfms, DfmsNetwork, DfmsServer, EngineMetrics,
+        BisectOutcome, BisectPredicate, Dfms, DfmsServer, EngineMetrics,
         JournalConfig, Materialized, ProvenanceError, ProvenanceQuery, ProvenanceRecord,
         ProvenanceStore, RunOptions, StateDiff, StepOutcome, SyncPolicy, TimeTravel,
     };
@@ -140,9 +140,9 @@ pub mod prelude {
         FlowValidationQuery, RunState, Severity, StatusReport, Step, TelemetryQuery,
         TelemetryReport, TimeTravelQuery, TimeTravelReport, ValidationReport, Value,
     };
-    // The attribution (dgf-why) wire pair. `WaitState` / `AlertState`
-    // exist in both dgf-dgl and dgf-obs; the prelude exports the wire
-    // versions (reach the analysis-side twins via `crate::obs::…`).
+    // The attribution (dgf-why) wire pair. dgf-obs's attribution store
+    // classifies and reports with these same `WaitState` / `AlertState`
+    // / `WhyBottleneck` types.
     pub use crate::dgl::{
         AlertState, WaitState, WhyAlert, WhyBottleneck, WhyPath, WhyQuery, WhyReport, WhySegment,
     };

@@ -67,8 +67,12 @@ impl Expr {
     /// Parse a Tcondition string.
     pub fn parse(source: &str) -> Result<Self, DglError> {
         let tokens = lex(source)?;
-        let mut p = Parser { tokens, pos: 0, source, depth: 0 };
-        let ast = p.parse_or()?;
+        let mut p = Parser { tokens, pos: 0, source, depth: 0, operators: 0 };
+        let parsed = p.parse_or();
+        if p.operators > MAX_EXPR_OPERATORS {
+            return Err(p.err(format!("more than {MAX_EXPR_OPERATORS} binary operators")));
+        }
+        let ast = parsed?;
         if p.pos != p.tokens.len() {
             return Err(DglError::ExprParse {
                 expr: source.to_owned(),
@@ -397,11 +401,20 @@ fn lex(src: &str) -> Result<Vec<Token>, DglError> {
 /// recursive-descent parser against hostile wire input.
 const MAX_EXPR_DEPTH: usize = 256;
 
+/// Maximum binary operators in one expression. Binary chains such as
+/// `1+1+…+1` are parsed in a loop, so [`MAX_EXPR_DEPTH`] does not bound
+/// them, yet the left-deep tree they build is as deep as the chain is
+/// long, and eval, lint, clone and drop all recurse on it.
+const MAX_EXPR_OPERATORS: usize = 256;
+
 struct Parser<'a> {
     tokens: Vec<Token>,
     pos: usize,
     source: &'a str,
     depth: usize,
+    /// Binary operators consumed so far; one past
+    /// [`MAX_EXPR_OPERATORS`] once an operator was refused.
+    operators: usize,
 }
 
 impl Parser<'_> {
@@ -426,9 +439,26 @@ impl Parser<'_> {
         None
     }
 
+    /// [`Parser::eat_op`] for binary operators, refusing every one past
+    /// [`MAX_EXPR_OPERATORS`] so the chain ends there and
+    /// [`Expr::parse`] reports the overflow. Not a `Result`, and not a
+    /// `?` in the chain loops: that would grow the recursive frames that
+    /// deep parenthesis nesting already stacks close to the limit.
+    fn eat_binary_op(&mut self, candidates: &[&'static str]) -> Option<&'static str> {
+        if self.operators >= MAX_EXPR_OPERATORS {
+            if self.peek_op().is_some_and(|op| candidates.contains(&op)) {
+                self.operators = MAX_EXPR_OPERATORS + 1;
+            }
+            return None;
+        }
+        let op = self.eat_op(candidates)?;
+        self.operators += 1;
+        Some(op)
+    }
+
     fn parse_or(&mut self) -> Result<Node, DglError> {
         let mut node = self.parse_and()?;
-        while self.eat_op(&["||"]).is_some() {
+        while self.eat_binary_op(&["||"]).is_some() {
             let rhs = self.parse_and()?;
             node = Node::Binary(BinaryOp::Or, Box::new(node), Box::new(rhs));
         }
@@ -437,7 +467,7 @@ impl Parser<'_> {
 
     fn parse_and(&mut self) -> Result<Node, DglError> {
         let mut node = self.parse_cmp()?;
-        while self.eat_op(&["&&"]).is_some() {
+        while self.eat_binary_op(&["&&"]).is_some() {
             let rhs = self.parse_cmp()?;
             node = Node::Binary(BinaryOp::And, Box::new(node), Box::new(rhs));
         }
@@ -446,7 +476,7 @@ impl Parser<'_> {
 
     fn parse_cmp(&mut self) -> Result<Node, DglError> {
         let node = self.parse_add()?;
-        if let Some(op) = self.eat_op(&["==", "!=", "<=", ">=", "<", ">"]) {
+        if let Some(op) = self.eat_binary_op(&["==", "!=", "<=", ">=", "<", ">"]) {
             let rhs = self.parse_add()?;
             let bop = match op {
                 "==" => BinaryOp::Eq,
@@ -463,7 +493,7 @@ impl Parser<'_> {
 
     fn parse_add(&mut self) -> Result<Node, DglError> {
         let mut node = self.parse_mul()?;
-        while let Some(op) = self.eat_op(&["+", "-"]) {
+        while let Some(op) = self.eat_binary_op(&["+", "-"]) {
             let rhs = self.parse_mul()?;
             let bop = if op == "+" { BinaryOp::Add } else { BinaryOp::Sub };
             node = Node::Binary(bop, Box::new(node), Box::new(rhs));
@@ -473,7 +503,7 @@ impl Parser<'_> {
 
     fn parse_mul(&mut self) -> Result<Node, DglError> {
         let mut node = self.parse_unary()?;
-        while let Some(op) = self.eat_op(&["*", "/", "%"]) {
+        while let Some(op) = self.eat_binary_op(&["*", "/", "%"]) {
             let rhs = self.parse_unary()?;
             let bop = match op {
                 "*" => BinaryOp::Mul,
@@ -645,9 +675,23 @@ mod tests {
         assert!(Expr::parse(&parens).is_err());
         let bangs = format!("{}true", "!".repeat(100_000));
         assert!(Expr::parse(&bangs).is_err());
-        // Within the limit still parses.
+        // Binary chains are parsed in a loop, but build a tree as deep
+        // as the chain is long.
+        let chain = |op: &str, terms: usize| vec!["1"; terms].join(op);
+        for op in ["+", "*", "&&", "||"] {
+            let hostile = format!("{} < 0", chain(op, 20_000));
+            assert!(matches!(Expr::parse(&hostile), Err(DglError::ExprParse { .. })), "{op}");
+        }
+        // The operator limit holds inside parentheses too, where the
+        // refused operator would otherwise surface as a missing ')'.
+        let err = Expr::parse(&format!("({})", chain("-", 300))).unwrap_err().to_string();
+        assert!(err.contains("binary operators"), "{err}");
+        // Within the limits still parses and evaluates.
         let ok = format!("{}1{}", "(".repeat(100), ")".repeat(100));
         assert!(Expr::parse(&ok).is_ok());
+        assert_eq!(eval(&format!("{} + 1", chain("+", 200))), Value::Int(201));
+        assert_eq!(eval(&chain("+", 257)), Value::Int(257));
+        assert!(Expr::parse(&chain("+", 258)).is_err());
     }
 
     #[test]

@@ -12,6 +12,8 @@ use crate::request::{DataGridRequest, RequestBody, RequestMode};
 use crate::response::{DataGridResponse, RequestAck, ResponseBody};
 use crate::status::{FlowStatusQuery, RunState, StatusReport};
 use crate::step::{DglOperation, ErrorPolicy, Step};
+use crate::validation::Severity;
+use crate::why::{AlertState, WaitState};
 use dgf_xml::Element;
 
 /// Parse a complete `<dataGridRequest>` document.
@@ -28,6 +30,68 @@ pub fn parse_response(xml: &str) -> Result<DataGridResponse, DglError> {
 
 fn require_attr<'a>(e: &'a Element, name: &str) -> Result<&'a str, DglError> {
     e.attr(name).ok_or_else(|| DglError::schema(&e.name, format!("missing attribute {name:?}")))
+}
+
+/// A type one attribute value decodes to; `None` for a malformed value.
+trait AttrValue: Sized {
+    fn from_attr(raw: &str) -> Option<Self>;
+}
+
+/// Strings and the integer types (`u32`, `u64`, `usize`).
+impl<T: std::str::FromStr> AttrValue for T {
+    fn from_attr(raw: &str) -> Option<Self> {
+        raw.parse().ok()
+    }
+}
+
+impl AttrValue for RunState {
+    fn from_attr(raw: &str) -> Option<Self> {
+        RunState::parse(raw)
+    }
+}
+
+impl AttrValue for WaitState {
+    fn from_attr(raw: &str) -> Option<Self> {
+        WaitState::parse(raw)
+    }
+}
+
+impl AttrValue for AlertState {
+    fn from_attr(raw: &str) -> Option<Self> {
+        AlertState::parse(raw)
+    }
+}
+
+impl AttrValue for Severity {
+    fn from_attr(raw: &str) -> Option<Self> {
+        Severity::parse(raw).ok()
+    }
+}
+
+/// A required attribute, decoded.
+fn req<T: AttrValue>(e: &Element, name: &str) -> Result<T, DglError> {
+    let raw = require_attr(e, name)?;
+    T::from_attr(raw).ok_or_else(|| bad_attr(e, name, raw))
+}
+
+/// An optional attribute, decoded when present.
+fn opt<T: AttrValue>(e: &Element, name: &str) -> Result<Option<T>, DglError> {
+    e.attr(name).map(|raw| T::from_attr(raw).ok_or_else(|| bad_attr(e, name, raw))).transpose()
+}
+
+fn bad_attr(e: &Element, name: &str, raw: &str) -> DglError {
+    DglError::schema(&e.name, format!("bad {name} {raw:?}"))
+}
+
+/// A lenient boolean attribute: only the spelling opposite to
+/// `default` (`"true"` or `"false"`) changes the value; an absent or
+/// any other value reads as `default`.
+fn flag(e: &Element, name: &str, default: bool) -> bool {
+    match e.attr(name) {
+        Some("true") => true,
+        Some("false") => false,
+        _ => default,
+    }
 }
 
 fn require_child<'a>(e: &'a Element, name: &str) -> Result<&'a Element, DglError> {
@@ -89,7 +153,7 @@ impl DataGridRequest {
         if e.name != "dataGridRequest" {
             return Err(DglError::schema(&e.name, "expected <dataGridRequest>"));
         }
-        let id = require_attr(e, "id")?.to_owned();
+        let id = req(e, "id")?;
         let mode = match e.attr("mode").unwrap_or("synchronous") {
             "synchronous" => RequestMode::Synchronous,
             "asynchronous" => RequestMode::Asynchronous,
@@ -101,8 +165,8 @@ impl DataGridRequest {
             .map(|d| d.text())
             .unwrap_or_default();
         let user_el = require_child(e, "gridUser")?;
-        let user = require_attr(user_el, "name")?.to_owned();
-        let vo = user_el.attr("vo").map(str::to_owned);
+        let user = req(user_el, "name")?;
+        let vo = opt(user_el, "vo")?;
         let body = if let Some(flow_el) = e.child("flow") {
             RequestBody::Flow(Flow::from_element(flow_el)?)
         } else if let Some(q_el) = e.child("flowStatusQuery") {
@@ -165,7 +229,7 @@ impl Flow {
         if e.name != "flow" {
             return Err(DglError::schema(&e.name, "expected <flow>"));
         }
-        let name = require_attr(e, "name")?.to_owned();
+        let name = req(e, "name")?;
         let variables = e.child("variables").map(parse_variables).transpose()?.unwrap_or_default();
         let logic = FlowLogic::from_element(require_child(e, "flowLogic")?)?;
         let children_el = require_child(e, "children")?;
@@ -193,7 +257,7 @@ fn variables_element(vars: &[VarDecl]) -> Element {
 
 fn parse_variables(e: &Element) -> Result<Vec<VarDecl>, DglError> {
     e.children_named("variable")
-        .map(|v| Ok(VarDecl { name: require_attr(v, "name")?.to_owned(), initial: v.attr("value").unwrap_or("").to_owned() }))
+        .map(|v| Ok(VarDecl { name: req(v, "name")?, initial: v.attr("value").unwrap_or("").to_owned() }))
         .collect()
 }
 
@@ -269,20 +333,20 @@ impl FlowLogic {
             "parallel" => ControlPattern::Parallel,
             "while" => ControlPattern::While(parse_expr_child(control, "tcondition")?),
             "forEach" => {
-                let var = require_attr(control, "var")?.to_owned();
-                let parallel = control.attr("parallel") == Some("true");
+                let var = req(control, "var")?;
+                let parallel = flag(control, "parallel", false);
                 let source = if let Some(items) = control.child("items") {
                     IterSource::Items(items.children_named("item").map(|i| i.text()).collect())
                 } else if let Some(c) = control.child("collection") {
                     IterSource::Collection(c.text())
                 } else if let Some(q) = control.child("query") {
                     IterSource::Query {
-                        collection: require_attr(q, "collection")?.to_owned(),
-                        attribute: require_attr(q, "attribute")?.to_owned(),
-                        value: require_attr(q, "value")?.to_owned(),
+                        collection: req(q, "collection")?,
+                        attribute: req(q, "attribute")?,
+                        value: req(q, "value")?,
                     }
                 } else if let Some(v) = control.child("variableSource") {
-                    IterSource::Variable(require_attr(v, "name")?.to_owned())
+                    IterSource::Variable(req(v, "name")?)
                 } else {
                     return Err(DglError::schema("forEach", "missing iteration source"));
                 };
@@ -323,13 +387,13 @@ impl UserDefinedRule {
 
     /// Decode from an XML element.
     pub fn from_element(e: &Element) -> Result<Self, DglError> {
-        let name = require_attr(e, "name")?.to_owned();
+        let name = req(e, "name")?;
         let condition = parse_expr_child(e, "tcondition")?;
         let actions = e
             .children_named("action")
             .map(|a| {
                 Ok::<RuleAction, DglError>(RuleAction {
-                    name: require_attr(a, "name")?.to_owned(),
+                    name: req(a, "name")?,
                     steps: a.children_named("step").map(Step::from_element).collect::<Result<_, _>>()?,
                 })
             })
@@ -366,7 +430,7 @@ impl Step {
         if e.name != "step" {
             return Err(DglError::schema(&e.name, "expected <step>"));
         }
-        let name = require_attr(e, "name")?.to_owned();
+        let name = req(e, "name")?;
         let on_error = match e.attr("onError") {
             None | Some("fail") => ErrorPolicy::Fail,
             Some("ignore") => ErrorPolicy::Ignore,
@@ -471,67 +535,67 @@ impl DglOperation {
     /// Decode from an XML element.
     pub fn from_element(e: &Element) -> Result<Self, DglError> {
         let op = match e.name.as_str() {
-            "createCollection" => DglOperation::CreateCollection { path: require_attr(e, "path")?.to_owned() },
+            "createCollection" => DglOperation::CreateCollection { path: req(e, "path")? },
             "ingest" => DglOperation::Ingest {
-                path: require_attr(e, "path")?.to_owned(),
-                size: require_attr(e, "size")?.to_owned(),
-                resource: require_attr(e, "resource")?.to_owned(),
+                path: req(e, "path")?,
+                size: req(e, "size")?,
+                resource: req(e, "resource")?,
             },
             "replicate" => DglOperation::Replicate {
-                path: require_attr(e, "path")?.to_owned(),
-                src: e.attr("src").map(str::to_owned),
-                dst: require_attr(e, "dst")?.to_owned(),
+                path: req(e, "path")?,
+                src: opt(e, "src")?,
+                dst: req(e, "dst")?,
             },
             "migrate" => DglOperation::Migrate {
-                path: require_attr(e, "path")?.to_owned(),
-                from: require_attr(e, "from")?.to_owned(),
-                to: require_attr(e, "to")?.to_owned(),
+                path: req(e, "path")?,
+                from: req(e, "from")?,
+                to: req(e, "to")?,
             },
             "trim" => DglOperation::Trim {
-                path: require_attr(e, "path")?.to_owned(),
-                resource: require_attr(e, "resource")?.to_owned(),
+                path: req(e, "path")?,
+                resource: req(e, "resource")?,
             },
-            "delete" => DglOperation::Delete { path: require_attr(e, "path")?.to_owned() },
+            "delete" => DglOperation::Delete { path: req(e, "path")? },
             "rename" => DglOperation::Rename {
-                path: require_attr(e, "path")?.to_owned(),
-                to: require_attr(e, "to")?.to_owned(),
+                path: req(e, "path")?,
+                to: req(e, "to")?,
             },
             "checksum" => DglOperation::Checksum {
-                path: require_attr(e, "path")?.to_owned(),
-                resource: e.attr("resource").map(str::to_owned),
-                register: e.attr("register") == Some("true"),
+                path: req(e, "path")?,
+                resource: opt(e, "resource")?,
+                register: flag(e, "register", false),
             },
             "setMetadata" => DglOperation::SetMetadata {
-                path: require_attr(e, "path")?.to_owned(),
-                attribute: require_attr(e, "attribute")?.to_owned(),
-                value: require_attr(e, "value")?.to_owned(),
+                path: req(e, "path")?,
+                attribute: req(e, "attribute")?,
+                value: req(e, "value")?,
             },
             "setPermission" => DglOperation::SetPermission {
-                path: require_attr(e, "path")?.to_owned(),
-                grantee: require_attr(e, "grantee")?.to_owned(),
-                level: require_attr(e, "level")?.to_owned(),
+                path: req(e, "path")?,
+                grantee: req(e, "grantee")?,
+                level: req(e, "level")?,
             },
             "query" => DglOperation::Query {
-                collection: require_attr(e, "collection")?.to_owned(),
-                attribute: require_attr(e, "attribute")?.to_owned(),
-                value: require_attr(e, "value")?.to_owned(),
-                into: require_attr(e, "into")?.to_owned(),
+                collection: req(e, "collection")?,
+                attribute: req(e, "attribute")?,
+                value: req(e, "value")?,
+                into: req(e, "into")?,
             },
             "execute" => DglOperation::Execute {
-                code: require_attr(e, "code")?.to_owned(),
-                nominal_secs: require_attr(e, "nominalSecs")?.to_owned(),
-                resource_type: e.attr("resourceType").map(str::to_owned),
+                code: req(e, "code")?,
+                nominal_secs: req(e, "nominalSecs")?,
+                resource_type: opt(e, "resourceType")?,
                 inputs: e
                     .children_named("input")
-                    .map(|i| Ok(require_attr(i, "path")?.to_owned()))
+                    .map(|i| req(i, "path"))
                     .collect::<Result<_, DglError>>()?,
                 outputs: e
                     .children_named("output")
-                    .map(|o| Ok((require_attr(o, "path")?.to_owned(), require_attr(o, "size")?.to_owned())))
+                    .map(|o| Ok((req(o, "path")?, req(o, "size")?)))
                     .collect::<Result<_, DglError>>()?,
             },
             "assign" => DglOperation::Assign {
-                variable: require_attr(e, "variable")?.to_owned(),
+                variable: req(e, "variable")?,
                 expr: parse_expr_child(e, "expr")?,
             },
             // Attribute form is canonical; hand-written documents may
@@ -572,19 +636,12 @@ impl FlowStatusQuery {
 
     /// Decode from an XML element.
     pub fn from_element(e: &Element) -> Result<Self, DglError> {
-        let events = match e.attr("events") {
-            None => None,
-            Some(raw) => Some(
-                raw.parse::<usize>()
-                    .map_err(|_| DglError::schema("flowStatusQuery", format!("bad events count {raw:?}")))?,
-            ),
-        };
         Ok(FlowStatusQuery {
-            transaction: require_attr(e, "transaction")?.to_owned(),
-            node: e.attr("node").map(str::to_owned),
-            events,
-            metrics: e.attr("metrics") == Some("true"),
-            trace: e.attr("trace") == Some("true"),
+            transaction: req(e, "transaction")?,
+            node: opt(e, "node")?,
+            events: opt(e, "events")?,
+            metrics: flag(e, "metrics", false),
+            trace: flag(e, "trace", false),
         })
     }
 }
@@ -608,19 +665,10 @@ impl crate::TelemetryQuery {
 
     /// Decode from an XML element.
     pub fn from_element(e: &Element) -> Result<Self, DglError> {
-        let num = |attr: &str| -> Result<Option<u64>, DglError> {
-            e.attr(attr)
-                .map(|raw| {
-                    raw.parse().map_err(|_| {
-                        DglError::schema("telemetryQuery", format!("bad {attr} {raw:?}"))
-                    })
-                })
-                .transpose()
-        };
         Ok(crate::TelemetryQuery {
-            scrape: e.attr("scrape") == Some("true"),
-            tail_from: num("tailFrom")?,
-            tail_limit: num("tailLimit")?.map(|n| n as usize),
+            scrape: flag(e, "scrape", false),
+            tail_from: opt(e, "tailFrom")?,
+            tail_limit: opt(e, "tailLimit")?,
         })
     }
 }
@@ -662,16 +710,16 @@ impl crate::ValidationReport {
     /// Decode from an XML element.
     pub fn from_element(e: &Element) -> Result<Self, DglError> {
         Ok(crate::ValidationReport {
-            flow: require_attr(e, "flow")?.to_owned(),
-            valid: e.attr("valid") == Some("true"),
+            flow: req(e, "flow")?,
+            valid: flag(e, "valid", false),
             diagnostics: e
                 .children_named("diagnostic")
                 .map(|d| {
                     Ok(crate::Diagnostic {
-                        code: require_attr(d, "code")?.to_owned(),
-                        severity: crate::Severity::parse(require_attr(d, "severity")?)?,
-                        node: require_attr(d, "node")?.to_owned(),
-                        message: require_attr(d, "message")?.to_owned(),
+                        code: req(d, "code")?,
+                        severity: req(d, "severity")?,
+                        node: req(d, "node")?,
+                        message: req(d, "message")?,
                         hint: d.attr("hint").unwrap_or_default().to_owned(),
                     })
                 })
@@ -693,7 +741,7 @@ impl crate::RecoveryQuery {
 
     /// Decode from an XML element.
     pub fn from_element(e: &Element) -> Result<Self, DglError> {
-        Ok(crate::RecoveryQuery { flows: e.attr("flows") != Some("false") })
+        Ok(crate::RecoveryQuery { flows: flag(e, "flows", true) })
     }
 }
 
@@ -721,70 +769,61 @@ impl crate::RecoveryReport {
             );
         }
         for fr in &self.flows {
-            let mut fe = Element::new("flow")
-                .with_attr("transaction", &fr.transaction)
-                .with_attr("lineage", &fr.lineage)
-                .with_attr("state", state_to_str(fr.state))
-                .with_attr("stepsCompleted", fr.steps_completed.to_string())
-                .with_attr("stepsTotal", fr.steps_total.to_string());
-            if fr.resumed {
-                fe.set_attr("resumed", "true");
-            }
-            el.push_element(fe);
+            el.push_element(flow_recovery_element(fr));
         }
         el
     }
 
     /// Decode from an XML element.
     pub fn from_element(e: &Element) -> Result<Self, DglError> {
-        let num = |el: &Element, attr: &str| -> Result<u64, DglError> {
-            let raw = require_attr(el, attr)?;
-            raw.parse()
-                .map_err(|_| DglError::schema(&e.name, format!("bad {attr} {raw:?}")))
-        };
         let replay = e
             .child("replay")
             .map(|r| -> Result<crate::ReplayStats, DglError> {
                 Ok(crate::ReplayStats {
-                    truncated_bytes: num(r, "truncated")?,
-                    commands_replayed: num(r, "commands")?,
-                    records_matched: num(r, "matched")?,
-                    divergences: num(r, "divergences")?,
-                    steps_skipped_restart: num(r, "stepsSkipped")?,
-                })
-            })
-            .transpose()?;
-        let flows: Vec<crate::FlowRecovery> = e
-            .children_named("flow")
-            .map(|fr| {
-                Ok(crate::FlowRecovery {
-                    transaction: require_attr(fr, "transaction")?.to_owned(),
-                    lineage: require_attr(fr, "lineage")?.to_owned(),
-                    state: state_from_str(require_attr(fr, "state")?)?,
-                    steps_completed: num(fr, "stepsCompleted")?,
-                    steps_total: num(fr, "stepsTotal")?,
-                    resumed: fr.attr("resumed") == Some("true"),
-                })
-            })
-            .collect::<Result<_, DglError>>()?;
-        let last_checkpoint_seq = e
-            .attr("lastCheckpoint")
-            .map(|raw| {
-                raw.parse().map_err(|_| {
-                    DglError::schema(&e.name, format!("bad lastCheckpoint {raw:?}"))
+                    truncated_bytes: req(r, "truncated")?,
+                    commands_replayed: req(r, "commands")?,
+                    records_matched: req(r, "matched")?,
+                    divergences: req(r, "divergences")?,
+                    steps_skipped_restart: req(r, "stepsSkipped")?,
                 })
             })
             .transpose()?;
         Ok(crate::RecoveryReport {
-            time_us: num(e, "time")?,
-            journaled: e.attr("journaled") == Some("true"),
-            journal_records: num(e, "records")?,
-            journal_bytes: num(e, "bytes")?,
-            last_checkpoint_seq,
+            time_us: req(e, "time")?,
+            journaled: flag(e, "journaled", false),
+            journal_records: req(e, "records")?,
+            journal_bytes: req(e, "bytes")?,
+            last_checkpoint_seq: opt(e, "lastCheckpoint")?,
             replay,
-            flows,
+            flows: e.children_named("flow").map(parse_flow_recovery).collect::<Result<_, _>>()?,
         })
     }
+}
+
+/// One per-flow `<flow>` summary of a recovery report or a time-travel
+/// inspection. `resumed` is omitted when false.
+fn flow_recovery_element(fr: &crate::FlowRecovery) -> Element {
+    let mut fe = Element::new("flow")
+        .with_attr("transaction", &fr.transaction)
+        .with_attr("lineage", &fr.lineage)
+        .with_attr("state", fr.state.as_str())
+        .with_attr("stepsCompleted", fr.steps_completed.to_string())
+        .with_attr("stepsTotal", fr.steps_total.to_string());
+    if fr.resumed {
+        fe.set_attr("resumed", "true");
+    }
+    fe
+}
+
+fn parse_flow_recovery(fr: &Element) -> Result<crate::FlowRecovery, DglError> {
+    Ok(crate::FlowRecovery {
+        transaction: req(fr, "transaction")?,
+        lineage: req(fr, "lineage")?,
+        state: req(fr, "state")?,
+        steps_completed: req(fr, "stepsCompleted")?,
+        steps_total: req(fr, "stepsTotal")?,
+        resumed: flag(fr, "resumed", false),
+    })
 }
 
 impl crate::FederationQuery {
@@ -805,8 +844,8 @@ impl crate::FederationQuery {
     /// Decode from an XML element.
     pub fn from_element(e: &Element) -> Result<Self, DglError> {
         Ok(crate::FederationQuery {
-            shards: e.attr("shards") != Some("false"),
-            handoffs: e.attr("handoffs") != Some("false"),
+            shards: flag(e, "shards", true),
+            handoffs: flag(e, "handoffs", true),
         })
     }
 }
@@ -845,7 +884,7 @@ impl crate::FederationReport {
                 .with_attr("node", &h.node)
                 .with_attr("from", &h.from)
                 .with_attr("to", &h.to)
-                .with_attr("state", state_to_str(h.state));
+                .with_attr("state", h.state.as_str());
             if let Some(child) = &h.child_txn {
                 he.set_attr("childTxn", child);
             }
@@ -859,7 +898,7 @@ impl crate::FederationReport {
                     .with_attr("user", &fl.user)
                     .with_attr("home", &fl.home)
                     .with_attr("parallel", if fl.parallel { "true" } else { "false" })
-                    .with_attr("state", state_to_str(fl.state))
+                    .with_attr("state", fl.state.as_str())
                     .with_attr("subsCompleted", fl.subs_completed.to_string())
                     .with_attr("subsTotal", fl.subs_total.to_string()),
             );
@@ -869,45 +908,40 @@ impl crate::FederationReport {
 
     /// Decode from an XML element.
     pub fn from_element(e: &Element) -> Result<Self, DglError> {
-        let num = |el: &Element, attr: &str| -> Result<u64, DglError> {
-            let raw = require_attr(el, attr)?;
-            raw.parse()
-                .map_err(|_| DglError::schema(&e.name, format!("bad {attr} {raw:?}")))
-        };
         let shards: Vec<crate::FederationShard> = e
             .children_named("shard")
             .map(|s| {
                 Ok(crate::FederationShard {
-                    name: require_attr(s, "name")?.to_owned(),
+                    name: req(s, "name")?,
                     prefixes: s
                         .children_named("prefix")
-                        .map(|p| Ok(require_attr(p, "path")?.to_owned()))
+                        .map(|p| req(p, "path"))
                         .collect::<Result<_, DglError>>()?,
-                    flows: num(s, "flows")?,
-                    time_us: num(s, "time")?,
-                    journaled: s.attr("journaled") == Some("true"),
-                    bus_sent: num(s, "sent")?,
-                    bus_received: num(s, "received")?,
+                    flows: req(s, "flows")?,
+                    time_us: req(s, "time")?,
+                    journaled: flag(s, "journaled", false),
+                    bus_sent: req(s, "sent")?,
+                    bus_received: req(s, "received")?,
                 })
             })
             .collect::<Result<_, DglError>>()?;
         let bus_el = require_child(e, "bus")?;
         let bus = crate::FederationBus {
-            published: num(bus_el, "published")?,
-            delivered: num(bus_el, "delivered")?,
-            in_flight: num(bus_el, "inFlight")?,
-            next_seq: num(bus_el, "nextSeq")?,
+            published: req(bus_el, "published")?,
+            delivered: req(bus_el, "delivered")?,
+            in_flight: req(bus_el, "inFlight")?,
+            next_seq: req(bus_el, "nextSeq")?,
         };
         let handoffs: Vec<crate::FederationHandoff> = e
             .children_named("handoff")
             .map(|h| {
                 Ok(crate::FederationHandoff {
-                    txn: require_attr(h, "txn")?.to_owned(),
-                    node: require_attr(h, "node")?.to_owned(),
-                    from: require_attr(h, "from")?.to_owned(),
-                    to: require_attr(h, "to")?.to_owned(),
-                    child_txn: h.attr("childTxn").map(str::to_owned),
-                    state: state_from_str(require_attr(h, "state")?)?,
+                    txn: req(h, "txn")?,
+                    node: req(h, "node")?,
+                    from: req(h, "from")?,
+                    to: req(h, "to")?,
+                    child_txn: opt(h, "childTxn")?,
+                    state: req(h, "state")?,
                 })
             })
             .collect::<Result<_, DglError>>()?;
@@ -915,20 +949,20 @@ impl crate::FederationReport {
             .children_named("federatedFlow")
             .map(|fl| {
                 Ok(crate::FederatedFlow {
-                    txn: require_attr(fl, "txn")?.to_owned(),
-                    name: require_attr(fl, "name")?.to_owned(),
-                    user: require_attr(fl, "user")?.to_owned(),
-                    home: require_attr(fl, "home")?.to_owned(),
-                    parallel: fl.attr("parallel") == Some("true"),
-                    state: state_from_str(require_attr(fl, "state")?)?,
-                    subs_completed: num(fl, "subsCompleted")?,
-                    subs_total: num(fl, "subsTotal")?,
+                    txn: req(fl, "txn")?,
+                    name: req(fl, "name")?,
+                    user: req(fl, "user")?,
+                    home: req(fl, "home")?,
+                    parallel: flag(fl, "parallel", false),
+                    state: req(fl, "state")?,
+                    subs_completed: req(fl, "subsCompleted")?,
+                    subs_total: req(fl, "subsTotal")?,
                 })
             })
             .collect::<Result<_, DglError>>()?;
         Ok(crate::FederationReport {
-            time_us: num(e, "time")?,
-            federated: e.attr("federated") == Some("true"),
+            time_us: req(e, "time")?,
+            federated: flag(e, "federated", false),
             shards,
             bus,
             handoffs,
@@ -966,7 +1000,7 @@ impl crate::TimeTravelQuery {
                     crate::BisectSpec::State { transaction, state } => {
                         p.set_attr("kind", "state");
                         p.set_attr("transaction", transaction);
-                        p.set_attr("state", state_to_str(*state));
+                        p.set_attr("state", state.as_str());
                     }
                     crate::BisectSpec::Variable { transaction, name, value } => {
                         p.set_attr("kind", "variable");
@@ -983,34 +1017,22 @@ impl crate::TimeTravelQuery {
 
     /// Decode from an XML element.
     pub fn from_element(e: &Element) -> Result<Self, DglError> {
-        let num = |attr: &str| -> Result<u64, DglError> {
-            let raw = require_attr(e, attr)?;
-            raw.parse().map_err(|_| DglError::schema(&e.name, format!("bad {attr} {raw:?}")))
-        };
         let op = match e.attr("op").unwrap_or("inspect") {
-            "inspect" => crate::TimeTravelOp::Inspect {
-                ordinal: e
-                    .attr("ordinal")
-                    .map(|raw| {
-                        raw.parse()
-                            .map_err(|_| DglError::schema(&e.name, format!("bad ordinal {raw:?}")))
-                    })
-                    .transpose()?,
-            },
-            "diff" => crate::TimeTravelOp::Diff { from: num("from")?, to: num("to")? },
+            "inspect" => crate::TimeTravelOp::Inspect { ordinal: opt(e, "ordinal")? },
+            "diff" => crate::TimeTravelOp::Diff { from: req(e, "from")?, to: req(e, "to")? },
             "bisect" => {
                 let p = require_child(e, "predicate")?;
-                let transaction = require_attr(p, "transaction")?.to_owned();
+                let transaction = req(p, "transaction")?;
                 let predicate = match require_attr(p, "kind")? {
                     "stalled" => crate::BisectSpec::Stalled { transaction },
                     "state" => crate::BisectSpec::State {
                         transaction,
-                        state: state_from_str(require_attr(p, "state")?)?,
+                        state: req(p, "state")?,
                     },
                     "variable" => crate::BisectSpec::Variable {
                         transaction,
-                        name: require_attr(p, "name")?.to_owned(),
-                        value: require_attr(p, "value")?.to_owned(),
+                        name: req(p, "name")?,
+                        value: req(p, "value")?,
                     },
                     other => {
                         return Err(DglError::schema(
@@ -1051,16 +1073,7 @@ impl crate::TimeTravelReport {
                 ie.set_attr("requested", r.to_string());
             }
             for fr in &i.flows {
-                let mut fe = Element::new("flow")
-                    .with_attr("transaction", &fr.transaction)
-                    .with_attr("lineage", &fr.lineage)
-                    .with_attr("state", state_to_str(fr.state))
-                    .with_attr("stepsCompleted", fr.steps_completed.to_string())
-                    .with_attr("stepsTotal", fr.steps_total.to_string());
-                if fr.resumed {
-                    fe.set_attr("resumed", "true");
-                }
-                ie.push_element(fe);
+                ie.push_element(flow_recovery_element(fr));
             }
             el.push_element(ie);
         }
@@ -1078,10 +1091,10 @@ impl crate::TimeTravelReport {
                     .with_attr("stepsTo", fd.steps_to.to_string())
                     .with_attr("stepsTotal", fd.steps_total.to_string());
                 if let Some(s) = fd.from_state {
-                    fe.set_attr("fromState", state_to_str(s));
+                    fe.set_attr("fromState", s.as_str());
                 }
                 if let Some(s) = fd.to_state {
-                    fe.set_attr("toState", state_to_str(s));
+                    fe.set_attr("toState", s.as_str());
                 }
                 de.push_element(fe);
             }
@@ -1104,41 +1117,17 @@ impl crate::TimeTravelReport {
 
     /// Decode from an XML element.
     pub fn from_element(e: &Element) -> Result<Self, DglError> {
-        let num = |el: &Element, attr: &str| -> Result<u64, DglError> {
-            let raw = require_attr(el, attr)?;
-            raw.parse().map_err(|_| DglError::schema(&el.name, format!("bad {attr} {raw:?}")))
-        };
-        let opt_num = |el: &Element, attr: &str| -> Result<Option<u64>, DglError> {
-            el.attr(attr)
-                .map(|raw| {
-                    raw.parse()
-                        .map_err(|_| DglError::schema(&el.name, format!("bad {attr} {raw:?}")))
-                })
-                .transpose()
-        };
         let inspect = e
             .child("inspect")
             .map(|ie| -> Result<crate::OrdinalSummary, DglError> {
                 Ok(crate::OrdinalSummary {
-                    ordinal: opt_num(ie, "ordinal")?,
-                    requested: opt_num(ie, "requested")?,
-                    complete: ie.attr("complete") == Some("true"),
-                    commands_applied: num(ie, "commandsApplied")?,
-                    transitions_derived: num(ie, "transitionsDerived")?,
-                    time_us: num(ie, "clock")?,
-                    flows: ie
-                        .children_named("flow")
-                        .map(|fr| {
-                            Ok(crate::FlowRecovery {
-                                transaction: require_attr(fr, "transaction")?.to_owned(),
-                                lineage: require_attr(fr, "lineage")?.to_owned(),
-                                state: state_from_str(require_attr(fr, "state")?)?,
-                                steps_completed: num(fr, "stepsCompleted")?,
-                                steps_total: num(fr, "stepsTotal")?,
-                                resumed: fr.attr("resumed") == Some("true"),
-                            })
-                        })
-                        .collect::<Result<_, DglError>>()?,
+                    ordinal: opt(ie, "ordinal")?,
+                    requested: opt(ie, "requested")?,
+                    complete: flag(ie, "complete", false),
+                    commands_applied: req(ie, "commandsApplied")?,
+                    transitions_derived: req(ie, "transitionsDerived")?,
+                    time_us: req(ie, "clock")?,
+                    flows: ie.children_named("flow").map(parse_flow_recovery).collect::<Result<_, _>>()?,
                 })
             })
             .transpose()?;
@@ -1146,24 +1135,21 @@ impl crate::TimeTravelReport {
             .child("diff")
             .map(|de| -> Result<crate::DiffSummary, DglError> {
                 Ok(crate::DiffSummary {
-                    from: num(de, "from")?,
-                    to: num(de, "to")?,
-                    provenance_added: num(de, "provenanceAdded")?,
-                    time_from_us: num(de, "clockFrom")?,
-                    time_to_us: num(de, "clockTo")?,
+                    from: req(de, "from")?,
+                    to: req(de, "to")?,
+                    provenance_added: req(de, "provenanceAdded")?,
+                    time_from_us: req(de, "clockFrom")?,
+                    time_to_us: req(de, "clockTo")?,
                     flows: de
                         .children_named("flow")
                         .map(|fd| {
                             Ok(crate::FlowDelta {
-                                transaction: require_attr(fd, "transaction")?.to_owned(),
-                                from_state: fd
-                                    .attr("fromState")
-                                    .map(state_from_str)
-                                    .transpose()?,
-                                to_state: fd.attr("toState").map(state_from_str).transpose()?,
-                                steps_from: num(fd, "stepsFrom")?,
-                                steps_to: num(fd, "stepsTo")?,
-                                steps_total: num(fd, "stepsTotal")?,
+                                transaction: req(fd, "transaction")?,
+                                from_state: opt(fd, "fromState")?,
+                                to_state: opt(fd, "toState")?,
+                                steps_from: req(fd, "stepsFrom")?,
+                                steps_to: req(fd, "stepsTo")?,
+                                steps_total: req(fd, "stepsTotal")?,
                             })
                         })
                         .collect::<Result<_, DglError>>()?,
@@ -1174,16 +1160,16 @@ impl crate::TimeTravelReport {
             .child("bisect")
             .map(|be| -> Result<crate::BisectSummary, DglError> {
                 Ok(crate::BisectSummary {
-                    first_true: opt_num(be, "firstTrue")?,
-                    probes: num(be, "probes")?,
-                    last_ordinal: num(be, "lastOrdinal")?,
+                    first_true: opt(be, "firstTrue")?,
+                    probes: req(be, "probes")?,
+                    last_ordinal: req(be, "lastOrdinal")?,
                 })
             })
             .transpose()?;
         Ok(crate::TimeTravelReport {
-            time_us: num(e, "time")?,
-            enabled: e.attr("enabled") == Some("true"),
-            last_ordinal: opt_num(e, "lastOrdinal")?,
+            time_us: req(e, "time")?,
+            enabled: flag(e, "enabled", false),
+            last_ordinal: opt(e, "lastOrdinal")?,
             inspect,
             diff,
             bisect,
@@ -1210,8 +1196,8 @@ impl crate::ProfileQuery {
     /// Decode from an XML element.
     pub fn from_element(e: &Element) -> Result<Self, DglError> {
         Ok(crate::ProfileQuery {
-            folded: e.attr("folded") == Some("true"),
-            reset: e.attr("reset") == Some("true"),
+            folded: flag(e, "folded", false),
+            reset: flag(e, "reset", false),
         })
     }
 }
@@ -1235,7 +1221,7 @@ impl crate::ProfileReport {
             );
         }
         if let Some(folded) = &self.folded {
-            el.push_element(Element::new("folded").with_text(folded));
+            el.push_element(lines_element("folded", folded));
         }
         if let Some(c) = &self.contention {
             let mut ce = Element::new("contention")
@@ -1259,61 +1245,60 @@ impl crate::ProfileReport {
 
     /// Decode from an XML element.
     pub fn from_element(e: &Element) -> Result<Self, DglError> {
-        let num = |el: &Element, attr: &str| -> Result<u64, DglError> {
-            let raw = require_attr(el, attr)?;
-            raw.parse().map_err(|_| DglError::schema(&el.name, format!("bad {attr} {raw:?}")))
-        };
         let phases = e
             .children_named("phase")
             .map(|pe| {
-                let raw = require_attr(pe, "depth")?;
-                let depth = raw
-                    .parse()
-                    .map_err(|_| DglError::schema(&pe.name, format!("bad depth {raw:?}")))?;
                 Ok(crate::ProfilePhase {
-                    depth,
-                    phase: require_attr(pe, "name")?.to_owned(),
-                    calls: num(pe, "calls")?,
-                    sim_us: num(pe, "simUs")?,
-                    wall_ns: num(pe, "wallNs")?,
-                    allocs: num(pe, "allocs")?,
+                    depth: req(pe, "depth")?,
+                    phase: req(pe, "name")?,
+                    calls: req(pe, "calls")?,
+                    sim_us: req(pe, "simUs")?,
+                    wall_ns: req(pe, "wallNs")?,
+                    allocs: req(pe, "allocs")?,
                 })
             })
             .collect::<Result<_, DglError>>()?;
-        // Element text is whitespace-trimmed by the XML layer; the
-        // folded format is line-oriented and always ends in exactly
-        // one newline, so restore it after the trim.
-        let folded = e.child("folded").map(|s| {
-            let text = s.text();
-            if text.is_empty() {
-                text
-            } else {
-                text + "\n"
-            }
-        });
         let contention = e
             .child("contention")
             .map(|ce| -> Result<crate::ServerContention, DglError> {
                 Ok(crate::ServerContention {
-                    enqueued: num(ce, "enqueued")?,
-                    served: num(ce, "served")?,
-                    queue_depth_max: num(ce, "queueDepthMax")?,
+                    enqueued: req(ce, "enqueued")?,
+                    served: req(ce, "served")?,
+                    queue_depth_max: req(ce, "queueDepthMax")?,
                     hists: ce
                         .children_named("hist")
                         .map(|he| {
                             Ok(crate::LockHistogram {
-                                name: require_attr(he, "name")?.to_owned(),
-                                count: num(he, "count")?,
-                                sum_ns: num(he, "sumNs")?,
-                                min_ns: num(he, "minNs")?,
-                                max_ns: num(he, "maxNs")?,
+                                name: req(he, "name")?,
+                                count: req(he, "count")?,
+                                sum_ns: req(he, "sumNs")?,
+                                min_ns: req(he, "minNs")?,
+                                max_ns: req(he, "maxNs")?,
                             })
                         })
                         .collect::<Result<_, DglError>>()?,
                 })
             })
             .transpose()?;
-        Ok(crate::ProfileReport { time_us: num(e, "time")?, phases, folded, contention })
+        let folded = e.child("folded").map(parse_lines);
+        Ok(crate::ProfileReport { time_us: req(e, "time")?, phases, folded, contention })
+    }
+}
+
+/// A line-oriented text payload (the telemetry scrape, folded profile
+/// stacks): every line, the last included, ends in exactly one newline.
+fn lines_element(name: &str, text: &str) -> Element {
+    Element::new(name).with_text(text)
+}
+
+/// Element text is whitespace-trimmed by the XML layer, so restore the
+/// final newline of a [`lines_element`] payload after the trim.
+fn parse_lines(e: &Element) -> String {
+    let text = e.text();
+    if text.is_empty() {
+        text
+    } else {
+        text + "\n"
     }
 }
 
@@ -1337,14 +1322,11 @@ impl crate::WhyQuery {
 
     /// Decode from an XML element.
     pub fn from_element(e: &Element) -> Result<Self, DglError> {
-        let raw = require_attr(e, "topK")?;
-        let top_k =
-            raw.parse().map_err(|_| DglError::schema(&e.name, format!("bad topK {raw:?}")))?;
         Ok(crate::WhyQuery {
-            flow: e.attr("flow").map(str::to_owned),
-            top_k,
-            paths: e.attr("paths") != Some("false"),
-            alerts: e.attr("alerts") != Some("false"),
+            flow: opt(e, "flow")?,
+            top_k: req(e, "topK")?,
+            paths: flag(e, "paths", true),
+            alerts: flag(e, "alerts", true),
         })
     }
 }
@@ -1413,41 +1395,24 @@ impl crate::WhyReport {
 
     /// Decode from an XML element.
     pub fn from_element(e: &Element) -> Result<Self, DglError> {
-        let num = |el: &Element, attr: &str| -> Result<u64, DglError> {
-            let raw = require_attr(el, attr)?;
-            raw.parse().map_err(|_| DglError::schema(&el.name, format!("bad {attr} {raw:?}")))
-        };
-        let opt_num = |el: &Element, attr: &str| -> Result<Option<u64>, DglError> {
-            el.attr(attr)
-                .map(|raw| {
-                    raw.parse()
-                        .map_err(|_| DglError::schema(&el.name, format!("bad {attr} {raw:?}")))
-                })
-                .transpose()
-        };
-        let wait_state = |el: &Element| -> Result<crate::WaitState, DglError> {
-            let raw = require_attr(el, "state")?;
-            crate::WaitState::parse(raw)
-                .ok_or_else(|| DglError::schema(&el.name, format!("unknown wait state {raw:?}")))
-        };
         let paths = e
             .children_named("criticalPath")
             .map(|pe| {
                 Ok(crate::WhyPath {
-                    txn: require_attr(pe, "txn")?.to_owned(),
-                    flow: require_attr(pe, "flow")?.to_owned(),
-                    start_us: num(pe, "startUs")?,
-                    end_us: num(pe, "endUs")?,
-                    caused_by: pe.attr("causedBy").map(str::to_owned),
+                    txn: req(pe, "txn")?,
+                    flow: req(pe, "flow")?,
+                    start_us: req(pe, "startUs")?,
+                    end_us: req(pe, "endUs")?,
+                    caused_by: opt(pe, "causedBy")?,
                     segments: pe
                         .children_named("segment")
                         .map(|se| {
                             Ok(crate::WhySegment {
-                                from_us: num(se, "fromUs")?,
-                                until_us: num(se, "untilUs")?,
-                                state: wait_state(se)?,
-                                resource: require_attr(se, "resource")?.to_owned(),
-                                node: require_attr(se, "node")?.to_owned(),
+                                from_us: req(se, "fromUs")?,
+                                until_us: req(se, "untilUs")?,
+                                state: req(se, "state")?,
+                                resource: req(se, "resource")?,
+                                node: req(se, "node")?,
                             })
                         })
                         .collect::<Result<_, DglError>>()?,
@@ -1458,38 +1423,34 @@ impl crate::WhyReport {
             .children_named("bottleneck")
             .map(|be| {
                 Ok(crate::WhyBottleneck {
-                    state: wait_state(be)?,
-                    resource: require_attr(be, "resource")?.to_owned(),
-                    total_us: num(be, "totalUs")?,
-                    share_ppm: num(be, "sharePpm")?,
+                    state: req(be, "state")?,
+                    resource: req(be, "resource")?,
+                    total_us: req(be, "totalUs")?,
+                    share_ppm: req(be, "sharePpm")?,
                 })
             })
             .collect::<Result<_, DglError>>()?;
         let alerts = e
             .children_named("alert")
             .map(|ae| {
-                let raw = require_attr(ae, "state")?;
-                let state = crate::AlertState::parse(raw).ok_or_else(|| {
-                    DglError::schema(&ae.name, format!("unknown alert state {raw:?}"))
-                })?;
                 Ok(crate::WhyAlert {
-                    txn: require_attr(ae, "txn")?.to_owned(),
-                    class: require_attr(ae, "class")?.to_owned(),
-                    flow: require_attr(ae, "flow")?.to_owned(),
-                    started_us: num(ae, "startedUs")?,
-                    deadline_us: num(ae, "deadlineUs")?,
-                    state,
-                    burn_ppm: num(ae, "burnPpm")?,
-                    fired_at_us: opt_num(ae, "firedAtUs")?,
-                    resolved_at_us: opt_num(ae, "resolvedAtUs")?,
+                    txn: req(ae, "txn")?,
+                    class: req(ae, "class")?,
+                    flow: req(ae, "flow")?,
+                    started_us: req(ae, "startedUs")?,
+                    deadline_us: req(ae, "deadlineUs")?,
+                    state: req(ae, "state")?,
+                    burn_ppm: req(ae, "burnPpm")?,
+                    fired_at_us: opt(ae, "firedAtUs")?,
+                    resolved_at_us: opt(ae, "resolvedAtUs")?,
                     breached: require_attr(ae, "breached")? == "true",
                 })
             })
             .collect::<Result<_, DglError>>()?;
         Ok(crate::WhyReport {
-            time_us: num(e, "time")?,
-            flows_analyzed: num(e, "flows")?,
-            attributed_us: num(e, "attributedUs")?,
+            time_us: req(e, "time")?,
+            flows_analyzed: req(e, "flows")?,
+            attributed_us: req(e, "attributedUs")?,
             paths,
             bottlenecks,
             alerts,
@@ -1497,12 +1458,22 @@ impl crate::WhyReport {
     }
 }
 
-fn state_to_str(s: RunState) -> &'static str {
-    s.as_str()
+/// One flight-recorder `<event>` of a status or telemetry report.
+fn event_element(ev: &crate::ReportEvent) -> Element {
+    Element::new("event")
+        .with_attr("time", ev.time_us.to_string())
+        .with_attr("seq", ev.seq.to_string())
+        .with_attr("kind", &ev.kind)
+        .with_attr("detail", &ev.detail)
 }
 
-fn state_from_str(s: &str) -> Result<RunState, DglError> {
-    RunState::parse(s).ok_or_else(|| DglError::schema("state", format!("unknown run state {s:?}")))
+fn parse_event(ev: &Element) -> Result<crate::ReportEvent, DglError> {
+    Ok(crate::ReportEvent {
+        time_us: req(ev, "time")?,
+        seq: req(ev, "seq")?,
+        kind: req(ev, "kind")?,
+        detail: ev.attr("detail").unwrap_or_default().to_owned(),
+    })
 }
 
 impl DataGridResponse {
@@ -1513,7 +1484,7 @@ impl DataGridResponse {
             ResponseBody::Ack(ack) => {
                 let mut a = Element::new("requestAcknowledgement")
                     .with_attr("transaction", &ack.transaction)
-                    .with_attr("state", state_to_str(ack.state))
+                    .with_attr("state", ack.state.as_str())
                     .with_attr("valid", if ack.valid { "true" } else { "false" });
                 if let Some(msg) = &ack.message {
                     a.push_element(Element::new("message").with_text(msg));
@@ -1525,7 +1496,7 @@ impl DataGridResponse {
                     .with_attr("transaction", &report.transaction)
                     .with_attr("node", &report.node)
                     .with_attr("name", &report.name)
-                    .with_attr("state", state_to_str(report.state))
+                    .with_attr("state", report.state.as_str())
                     .with_attr("stepsCompleted", report.steps_completed.to_string())
                     .with_attr("stepsTotal", report.steps_total.to_string());
                 if let Some(msg) = &report.message {
@@ -1536,17 +1507,11 @@ impl DataGridResponse {
                         Element::new("child")
                             .with_attr("node", node)
                             .with_attr("name", name)
-                            .with_attr("state", state_to_str(*state)),
+                            .with_attr("state", state.as_str()),
                     );
                 }
                 for ev in &report.events {
-                    s.push_element(
-                        Element::new("event")
-                            .with_attr("time", ev.time_us.to_string())
-                            .with_attr("seq", ev.seq.to_string())
-                            .with_attr("kind", &ev.kind)
-                            .with_attr("detail", &ev.detail),
-                    );
+                    s.push_element(event_element(ev));
                 }
                 for m in &report.metrics {
                     s.push_element(
@@ -1590,16 +1555,10 @@ impl DataGridResponse {
                     t.set_attr("dropped", dropped.to_string());
                 }
                 if let Some(scrape) = &report.scrape {
-                    t.push_element(Element::new("scrape").with_text(scrape));
+                    t.push_element(lines_element("scrape", scrape));
                 }
                 for ev in &report.events {
-                    t.push_element(
-                        Element::new("event")
-                            .with_attr("time", ev.time_us.to_string())
-                            .with_attr("seq", ev.seq.to_string())
-                            .with_attr("kind", &ev.kind)
-                            .with_attr("detail", &ev.detail),
-                    );
+                    t.push_element(event_element(ev));
                 }
                 root.push_element(t);
             }
@@ -1623,97 +1582,64 @@ impl DataGridResponse {
         if e.name != "dataGridResponse" {
             return Err(DglError::schema(&e.name, "expected <dataGridResponse>"));
         }
-        let request_id = require_attr(e, "requestId")?.to_owned();
+        let request_id = req(e, "requestId")?;
         if let Some(a) = e.child("requestAcknowledgement") {
             let ack = RequestAck {
-                transaction: require_attr(a, "transaction")?.to_owned(),
-                state: state_from_str(require_attr(a, "state")?)?,
-                valid: a.attr("valid") == Some("true"),
+                transaction: req(a, "transaction")?,
+                state: req(a, "state")?,
+                valid: flag(a, "valid", false),
                 message: a.child("message").map(|m| m.text()),
             };
             return Ok(DataGridResponse { request_id, body: ResponseBody::Ack(ack) });
         }
         if let Some(s) = e.child("statusReport") {
-            let parse_count = |attr: &str| -> Result<usize, DglError> {
-                require_attr(s, attr)?
-                    .parse()
-                    .map_err(|_| DglError::schema("statusReport", format!("bad {attr}")))
-            };
             let report = StatusReport {
-                transaction: require_attr(s, "transaction")?.to_owned(),
-                node: require_attr(s, "node")?.to_owned(),
-                name: require_attr(s, "name")?.to_owned(),
-                state: state_from_str(require_attr(s, "state")?)?,
-                steps_completed: parse_count("stepsCompleted")?,
-                steps_total: parse_count("stepsTotal")?,
+                transaction: req(s, "transaction")?,
+                node: req(s, "node")?,
+                name: req(s, "name")?,
+                state: req(s, "state")?,
+                steps_completed: req(s, "stepsCompleted")?,
+                steps_total: req(s, "stepsTotal")?,
                 message: s.child("message").map(|m| m.text()),
                 children: s
                     .children_named("child")
                     .map(|c| {
                         Ok((
-                            require_attr(c, "node")?.to_owned(),
-                            require_attr(c, "name")?.to_owned(),
-                            state_from_str(require_attr(c, "state")?)?,
+                            req(c, "node")?,
+                            req(c, "name")?,
+                            req(c, "state")?,
                         ))
                     })
                     .collect::<Result<_, DglError>>()?,
-                events: s
-                    .children_named("event")
-                    .map(|ev| {
-                        let num = |attr: &str| -> Result<u64, DglError> {
-                            require_attr(ev, attr)?
-                                .parse()
-                                .map_err(|_| DglError::schema("event", format!("bad {attr}")))
-                        };
-                        Ok(crate::ReportEvent {
-                            time_us: num("time")?,
-                            seq: num("seq")?,
-                            kind: require_attr(ev, "kind")?.to_owned(),
-                            detail: ev.attr("detail").unwrap_or_default().to_owned(),
-                        })
-                    })
-                    .collect::<Result<_, DglError>>()?,
+                events: s.children_named("event").map(parse_event).collect::<Result<_, _>>()?,
                 metrics: s
                     .children_named("metric")
                     .map(|m| {
                         Ok(crate::ReportMetric {
-                            scope: require_attr(m, "scope")?.to_owned(),
-                            name: require_attr(m, "name")?.to_owned(),
-                            kind: require_attr(m, "kind")?.to_owned(),
-                            value: require_attr(m, "value")?.to_owned(),
+                            scope: req(m, "scope")?,
+                            name: req(m, "name")?,
+                            kind: req(m, "kind")?,
+                            value: req(m, "value")?,
                         })
                     })
                     .collect::<Result<_, DglError>>()?,
                 spans: s
                     .children_named("span")
                     .map(|sp| {
-                        let num = |attr: &str| -> Result<u64, DglError> {
-                            require_attr(sp, attr)?
-                                .parse()
-                                .map_err(|_| DglError::schema("span", format!("bad {attr}")))
-                        };
-                        let opt_num = |attr: &str| -> Result<Option<u64>, DglError> {
-                            sp.attr(attr)
-                                .map(|raw| {
-                                    raw.parse()
-                                        .map_err(|_| DglError::schema("span", format!("bad {attr}")))
-                                })
-                                .transpose()
-                        };
                         Ok(crate::ReportSpan {
-                            id: num("id")?,
-                            parent: opt_num("parent")?,
-                            trace: num("trace")?,
-                            kind: require_attr(sp, "kind")?.to_owned(),
-                            name: require_attr(sp, "name")?.to_owned(),
-                            start_us: num("start")?,
-                            end_us: opt_num("end")?,
+                            id: req(sp, "id")?,
+                            parent: opt(sp, "parent")?,
+                            trace: req(sp, "trace")?,
+                            kind: req(sp, "kind")?,
+                            name: req(sp, "name")?,
+                            start_us: req(sp, "start")?,
+                            end_us: opt(sp, "end")?,
                             attrs: sp
                                 .children_named("attr")
                                 .map(|a| {
                                     Ok((
-                                        require_attr(a, "name")?.to_owned(),
-                                        require_attr(a, "value")?.to_owned(),
+                                        req(a, "name")?,
+                                        req(a, "value")?,
                                     ))
                                 })
                                 .collect::<Result<_, DglError>>()?,
@@ -1724,46 +1650,12 @@ impl DataGridResponse {
             return Ok(DataGridResponse { request_id, body: ResponseBody::Status(report) });
         }
         if let Some(t) = e.child("telemetryReport") {
-            let num = |attr: &str| -> Result<Option<u64>, DglError> {
-                t.attr(attr)
-                    .map(|raw| {
-                        raw.parse().map_err(|_| {
-                            DglError::schema("telemetryReport", format!("bad {attr} {raw:?}"))
-                        })
-                    })
-                    .transpose()
-            };
             let report = crate::TelemetryReport {
-                time_us: num("time")?.ok_or_else(|| DglError::schema("telemetryReport", "missing time"))?,
-                next_cursor: num("nextCursor")?,
-                dropped: num("dropped")?,
-                // Element text is whitespace-trimmed by the XML layer;
-                // the scrape format is line-oriented and always ends in
-                // exactly one newline, so restore it after the trim.
-                scrape: t.child("scrape").map(|s| {
-                    let text = s.text();
-                    if text.is_empty() {
-                        text
-                    } else {
-                        text + "\n"
-                    }
-                }),
-                events: t
-                    .children_named("event")
-                    .map(|ev| {
-                        let num = |attr: &str| -> Result<u64, DglError> {
-                            require_attr(ev, attr)?
-                                .parse()
-                                .map_err(|_| DglError::schema("event", format!("bad {attr}")))
-                        };
-                        Ok(crate::ReportEvent {
-                            time_us: num("time")?,
-                            seq: num("seq")?,
-                            kind: require_attr(ev, "kind")?.to_owned(),
-                            detail: ev.attr("detail").unwrap_or_default().to_owned(),
-                        })
-                    })
-                    .collect::<Result<_, DglError>>()?,
+                time_us: req(t, "time")?,
+                next_cursor: opt(t, "nextCursor")?,
+                dropped: opt(t, "dropped")?,
+                scrape: t.child("scrape").map(parse_lines),
+                events: t.children_named("event").map(parse_event).collect::<Result<_, _>>()?,
             };
             return Ok(DataGridResponse { request_id, body: ResponseBody::Telemetry(report) });
         }

@@ -12,8 +12,9 @@
 //! same order and rebuilds every shard byte-identically.
 
 use crate::envelope::{BusEnvelope, BusPayload};
+use crate::routing::{first_path, LookupService};
 use crate::FabricError;
-use dgf_dfms::{first_path, Dfms, DfmsError, JournalConfig, LookupService, RunOptions};
+use dgf_dfms::{Dfms, DfmsError, JournalConfig, RunOptions};
 use dgf_dgl::{
     Children, ControlPattern, DataGridRequest, DataGridResponse, FederatedFlow, FederationBus,
     FederationHandoff, FederationQuery, FederationReport, FederationShard, Flow, RequestAck,
@@ -122,7 +123,7 @@ impl Fabric {
         Fabric {
             shards: BTreeMap::new(),
             order: Vec::new(),
-            lookup: LookupService::new(),
+            lookup: LookupService::default(),
             prefixes: BTreeMap::new(),
             txn_home: BTreeMap::new(),
             fed: BTreeMap::new(),
@@ -1539,6 +1540,11 @@ mod tests {
         assert!(matches!(
             fabric.route(DataGridRequest::flow("r", "u", opaque)),
             Err(FabricError::Dfms(DfmsError::NoRoute(_)))
+        ));
+        let unknown_status = DataGridRequest::status("r", "u", FlowStatusQuery::whole("t99"));
+        assert!(matches!(
+            fabric.route(unknown_status),
+            Err(FabricError::Dfms(DfmsError::UnknownTransaction(_)))
         ));
     }
 

@@ -17,11 +17,11 @@
 //!   application (`recv` frames). Delivery order is total — ascending
 //!   (virtual time, sequence) — and the receiver is pumped to the
 //!   envelope's virtual time before the payload applies.
-//! - **Routing** generalizes [`dgf_dfms::LookupService`]: requests fan
-//!   out by logical-path prefix; a flow composing sub-flows owned by
-//!   two or more shards becomes a *federated run* whose sub-flows are
-//!   delegated to their owners over the bus, with completion acks
-//!   flowing back.
+//! - **Routing** is the paper's lookup service: requests fan out by
+//!   logical-path prefix (deepest owned prefix wins); a flow composing
+//!   sub-flows owned by two or more shards becomes a *federated run*
+//!   whose sub-flows are delegated to their owners over the bus, with
+//!   completion acks flowing back.
 //! - **Recovery** ([`Fabric::recover`]) replays every engine WAL, then
 //!   the bus WALs: federated runs, hand-offs, the bus position, and
 //!   in-flight envelopes are all rebuilt, and interrupted deliveries
@@ -43,6 +43,7 @@
 mod envelope;
 #[allow(clippy::module_inception)]
 mod fabric;
+mod routing;
 
 pub use envelope::{BusEnvelope, BusPayload};
 pub use fabric::{BusCrashPoint, Fabric, Shard};

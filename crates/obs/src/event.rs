@@ -144,7 +144,7 @@ pub enum EventKind {
         /// Objective class (`flow` for a per-flow deadline).
         class: String,
         /// The lifecycle state entered.
-        state: crate::AlertState,
+        state: dgf_dgl::AlertState,
         /// Budget consumed at the transition, integer
         /// parts-per-million (1_000_000 = deadline reached).
         burn_ppm: u64,
@@ -188,9 +188,9 @@ impl EventKind {
                 }
             }
             EventKind::SlaAlert { state, .. } => match state {
-                crate::AlertState::Pending => "sla.pending",
-                crate::AlertState::Firing => "sla.firing",
-                crate::AlertState::Resolved => "sla.resolved",
+                dgf_dgl::AlertState::Pending => "sla.pending",
+                dgf_dgl::AlertState::Firing => "sla.firing",
+                dgf_dgl::AlertState::Resolved => "sla.resolved",
             },
             EventKind::HealthTransition { to, .. } => match to {
                 crate::HealthState::Healthy => "health.healthy",

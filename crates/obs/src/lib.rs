@@ -63,11 +63,9 @@ pub use ring::RingBuffer;
 pub use span::{Span, SpanContext, SpanId, SpanKind, TraceId};
 pub use timeseries::{render_scrape, Rollup, SamplingConfig, SeriesPoint, TimeSeries, TimeSeriesStore};
 pub use trace_export::{to_chrome_trace, to_chrome_trace_with_profile};
-pub use why::{
-    critical_path, AlertState, Bottleneck, CriticalPath, PathSegment, SlaAlert, WaitMark,
-    WaitState,
-};
+pub use why::{critical_path, CriticalPath, PathSegment, SlaAlert, WaitMark};
 
+use dgf_dgl::{AlertState, WaitState, WhyBottleneck};
 use dgf_simgrid::{Duration, SimTime};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -491,7 +489,7 @@ impl Obs {
 
     /// The aggregated `(state, resource)` blame table, largest
     /// contributor first; `top_k = 0` returns every row.
-    pub fn why_bottlenecks(&self, top_k: usize) -> Vec<Bottleneck> {
+    pub fn why_bottlenecks(&self, top_k: usize) -> Vec<WhyBottleneck> {
         self.lock().why.bottlenecks(top_k)
     }
 

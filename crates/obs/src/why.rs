@@ -22,53 +22,15 @@
 //!   so alert lifecycles replay byte-identically through recovery.
 //!
 //! Everything here is a pure function of the simulated schedule:
-//! sim-µs, integer parts-per-million, no wall clock, no floats.
+//! sim-µs, integer parts-per-million, no wall clock, no floats. The
+//! wait-state taxonomy ([`WaitState`]), the alert lifecycle
+//! ([`AlertState`]) and the bottleneck rows ([`WhyBottleneck`]) are the
+//! `dgf-dgl` wire types, so reports carry them without translation.
 
 use crate::span::{Span, SpanId, SpanKind};
+use dgf_dgl::{AlertState, WaitState, WhyBottleneck};
 use dgf_simgrid::SimTime;
 use std::collections::BTreeMap;
-use std::fmt;
-
-/// The closed wait-state taxonomy: every sim-microsecond of a
-/// completed flow's critical path is charged to exactly one of these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum WaitState {
-    /// A step was running on a bound compute resource.
-    Executing,
-    /// A step was eligible but no cluster slot was free.
-    QueuedForCluster,
-    /// Bytes were moving on a WAN link or between storage tiers.
-    TransferOnLink,
-    /// A node was parked until its schedule window reopened.
-    WindowClosed,
-    /// Time between a causal trigger firing and the spawned flow's
-    /// first dispatched work (near-zero while triggers fire
-    /// synchronously).
-    TriggerWait,
-    /// Engine admission, lint gating, and control-flow bookkeeping —
-    /// the residual class that keeps the taxonomy closed.
-    LintAdmission,
-}
-
-impl WaitState {
-    /// The stable kebab-case name used in reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            WaitState::Executing => "executing",
-            WaitState::QueuedForCluster => "queued-for-cluster",
-            WaitState::TransferOnLink => "transfer-on-link",
-            WaitState::WindowClosed => "window-closed",
-            WaitState::TriggerWait => "trigger-wait",
-            WaitState::LintAdmission => "lint/admission",
-        }
-    }
-}
-
-impl fmt::Display for WaitState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// A wait interval the engine recorded when it parked work: flow `txn`
 /// could not advance at `node` during `[from, until)` because of
@@ -142,49 +104,6 @@ impl CriticalPath {
     /// by construction.
     pub fn segments_sum_us(&self) -> u64 {
         self.segments.iter().map(PathSegment::duration_us).sum()
-    }
-}
-
-/// One aggregated bottleneck row: total critical-path sim-time charged
-/// to a `(state, resource)` pair across every analyzed flow.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Bottleneck {
-    /// The wait-state classification.
-    pub state: WaitState,
-    /// The blamed resource.
-    pub resource: String,
-    /// Total critical-path sim-µs charged to this pair.
-    pub total_us: u64,
-    /// Share of all attributed critical-path time, in integer
-    /// parts-per-million.
-    pub share_ppm: u64,
-}
-
-/// Lifecycle state of an SLA deadline alert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum AlertState {
-    /// Objective registered, deadline not yet passed.
-    Pending,
-    /// Deadline passed while the flow was still running.
-    Firing,
-    /// The flow reached a terminal state.
-    Resolved,
-}
-
-impl AlertState {
-    /// The stable wire name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AlertState::Pending => "pending",
-            AlertState::Firing => "firing",
-            AlertState::Resolved => "resolved",
-        }
-    }
-}
-
-impl fmt::Display for AlertState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -276,7 +195,7 @@ impl WhyStore {
     /// critical path, largest total first (ties broken by state then
     /// resource name, so the order is deterministic). `top_k = 0`
     /// returns every row.
-    pub(crate) fn bottlenecks(&self, top_k: usize) -> Vec<Bottleneck> {
+    pub(crate) fn bottlenecks(&self, top_k: usize) -> Vec<WhyBottleneck> {
         let mut totals: BTreeMap<(WaitState, &str), u64> = BTreeMap::new();
         for p in &self.paths {
             for s in &p.segments {
@@ -284,9 +203,9 @@ impl WhyStore {
                     s.duration_us();
             }
         }
-        let mut rows: Vec<Bottleneck> = totals
+        let mut rows: Vec<WhyBottleneck> = totals
             .into_iter()
-            .map(|((state, resource), total_us)| Bottleneck {
+            .map(|((state, resource), total_us)| WhyBottleneck {
                 state,
                 resource: resource.to_owned(),
                 total_us,

@@ -18,7 +18,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # Documentation gates: the operator-facing crates must stay fully
 # documented (missing_docs escalated to an error), and every relative
 # markdown link in the guides and README must resolve.
-for crate in dgf-journal dgf-obs dgf-dfms; do
+for crate in dgf-journal dgf-obs dgf-dfms dgf-fabric; do
     RUSTDOCFLAGS="-D warnings" cargo rustdoc -q -p "$crate" -- -D missing_docs
 done
 link_errors=0

@@ -224,19 +224,23 @@ fn replay_strategy() -> impl Strategy<Value = ReplayStats> {
     )
 }
 
+fn run_state_strategy() -> impl Strategy<Value = RunState> {
+    prop_oneof![
+        Just(RunState::Pending),
+        Just(RunState::Running),
+        Just(RunState::Paused),
+        Just(RunState::Completed),
+        Just(RunState::Failed),
+        Just(RunState::Stopped),
+        Just(RunState::Skipped),
+    ]
+}
+
 fn flow_recovery_strategy() -> impl Strategy<Value = dgl::FlowRecovery> {
     (
         "t[1-9][0-9]{0,3}",
         "[a-z][a-z0-9-]{0,10}",
-        prop_oneof![
-            Just(RunState::Pending),
-            Just(RunState::Running),
-            Just(RunState::Paused),
-            Just(RunState::Completed),
-            Just(RunState::Failed),
-            Just(RunState::Stopped),
-            Just(RunState::Skipped),
-        ],
+        run_state_strategy(),
         0u64..50,
         0u64..50,
         any::<bool>(),
@@ -593,6 +597,259 @@ proptest! {
         let response = dgl::DataGridResponse::federation("prop", report);
         let xml = response.to_xml();
         let parsed = dgl::parse_response(&xml).expect("round trip parses");
+        prop_assert_eq!(parsed, response);
+    }
+}
+
+// ----------------------------------------------------------------------
+// Status, telemetry, time-travel and acknowledgement pairs
+// ----------------------------------------------------------------------
+
+/// Any attribute value. Attributes travel verbatim, so leading and
+/// trailing spaces, `\t`, `\n`, `\r`, other control characters and
+/// non-ASCII text all round-trip.
+fn attr_text_strategy() -> impl Strategy<Value = String> {
+    "[\u{1}-\u{1f} -~é→]{0,16}"
+}
+
+/// Element-text scalars (`message`, `error`). `Element::text` trims
+/// surrounding whitespace by design, so generate none there, as
+/// `diagnostic_strategy` does; interior spaces survive.
+fn element_text_strategy() -> impl Strategy<Value = String> {
+    "[!-~]([ -~]{0,20}[!-~])?"
+}
+
+/// Scrape text as the telemetry exporter renders it: printable lines,
+/// each newline-terminated.
+fn scrape_strategy() -> impl Strategy<Value = String> {
+    proptest::collection::vec("[!-~]([ -~]{0,30}[!-~])?", 1..6)
+        .prop_map(|lines| lines.into_iter().map(|line| line + "\n").collect())
+}
+
+fn report_event_strategy() -> impl Strategy<Value = ReportEvent> {
+    (0u64..u64::MAX / 2, 0u64..1_000_000, attr_text_strategy(), attr_text_strategy())
+        .prop_map(|(time_us, seq, kind, detail)| ReportEvent { time_us, seq, kind, detail })
+}
+
+fn report_metric_strategy() -> impl Strategy<Value = ReportMetric> {
+    (attr_text_strategy(), attr_text_strategy(), attr_text_strategy(), attr_text_strategy())
+        .prop_map(|(scope, name, kind, value)| ReportMetric { scope, name, kind, value })
+}
+
+fn report_span_strategy() -> impl Strategy<Value = ReportSpan> {
+    (
+        (1u64..100_000, proptest::option::of(1u64..100_000), 1u64..1_000),
+        (attr_text_strategy(), attr_text_strategy(), 0u64..u64::MAX / 4, proptest::option::of(0u64..u64::MAX / 4)),
+        proptest::collection::vec((attr_text_strategy(), attr_text_strategy()), 0..4),
+    )
+        .prop_map(|((id, parent, trace), (kind, name, start_us, end_us), attrs)| ReportSpan {
+            id,
+            parent,
+            trace,
+            kind,
+            name,
+            start_us,
+            end_us,
+            attrs,
+        })
+}
+
+fn status_report_strategy() -> impl Strategy<Value = StatusReport> {
+    (
+        (attr_text_strategy(), attr_text_strategy(), attr_text_strategy(), run_state_strategy()),
+        (0usize..10_000, 0usize..10_000, proptest::option::of(element_text_strategy())),
+        proptest::collection::vec((attr_text_strategy(), attr_text_strategy(), run_state_strategy()), 0..4),
+        proptest::collection::vec(report_event_strategy(), 0..4),
+        proptest::collection::vec(report_metric_strategy(), 0..4),
+        proptest::collection::vec(report_span_strategy(), 0..4),
+    )
+        .prop_map(
+            |((transaction, node, name, state), (steps_completed, steps_total, message), children, events, metrics, spans)| {
+                StatusReport {
+                    transaction,
+                    node,
+                    name,
+                    state,
+                    steps_completed,
+                    steps_total,
+                    message,
+                    children,
+                    events,
+                    metrics,
+                    spans,
+                }
+            },
+        )
+}
+
+fn time_travel_query_strategy() -> impl Strategy<Value = TimeTravelQuery> {
+    prop_oneof![
+        proptest::option::of(0u64..u64::MAX / 2)
+            .prop_map(|ordinal| TimeTravelQuery { op: dgl::TimeTravelOp::Inspect { ordinal } }),
+        (0u64..u64::MAX / 2, 0u64..u64::MAX / 2).prop_map(|(from, to)| TimeTravelQuery::diff(from, to)),
+        attr_text_strategy().prop_map(|transaction| TimeTravelQuery::bisect(BisectSpec::Stalled { transaction })),
+        (attr_text_strategy(), run_state_strategy())
+            .prop_map(|(transaction, state)| TimeTravelQuery::bisect(BisectSpec::State { transaction, state })),
+        (attr_text_strategy(), attr_text_strategy(), attr_text_strategy()).prop_map(|(transaction, name, value)| {
+            TimeTravelQuery::bisect(BisectSpec::Variable { transaction, name, value })
+        }),
+    ]
+}
+
+fn ordinal_summary_strategy() -> impl Strategy<Value = dgl::OrdinalSummary> {
+    (
+        (proptest::option::of(0u64..100_000), proptest::option::of(0u64..100_000), any::<bool>()),
+        (0u64..10_000, 0u64..100_000, 0u64..u64::MAX / 2),
+        proptest::collection::vec(flow_recovery_strategy(), 0..4),
+    )
+        .prop_map(
+            |((ordinal, requested, complete), (commands_applied, transitions_derived, time_us), flows)| {
+                dgl::OrdinalSummary { ordinal, requested, complete, commands_applied, transitions_derived, time_us, flows }
+            },
+        )
+}
+
+fn flow_delta_strategy() -> impl Strategy<Value = dgl::FlowDelta> {
+    (
+        attr_text_strategy(),
+        proptest::option::of(run_state_strategy()),
+        proptest::option::of(run_state_strategy()),
+        0u64..50,
+        0u64..50,
+        0u64..50,
+    )
+        .prop_map(|(transaction, from_state, to_state, steps_from, steps_to, steps_total)| dgl::FlowDelta {
+            transaction,
+            from_state,
+            to_state,
+            steps_from,
+            steps_to,
+            steps_total,
+        })
+}
+
+fn diff_summary_strategy() -> impl Strategy<Value = dgl::DiffSummary> {
+    (
+        (0u64..100_000, 0u64..100_000, 0u64..10_000),
+        (0u64..u64::MAX / 2, 0u64..u64::MAX / 2),
+        proptest::collection::vec(flow_delta_strategy(), 0..4),
+    )
+        .prop_map(|((from, to, provenance_added), (time_from_us, time_to_us), flows)| dgl::DiffSummary {
+            from,
+            to,
+            provenance_added,
+            time_from_us,
+            time_to_us,
+            flows,
+        })
+}
+
+fn bisect_summary_strategy() -> impl Strategy<Value = dgl::BisectSummary> {
+    (proptest::option::of(0u64..100_000), 0u64..64, 0u64..100_000)
+        .prop_map(|(first_true, probes, last_ordinal)| dgl::BisectSummary { first_true, probes, last_ordinal })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The status wire pair's request half: any transaction and node
+    /// filter with any observability flags survives a request XML round
+    /// trip.
+    #[test]
+    fn status_queries_round_trip_the_wire(
+        transaction in attr_text_strategy(),
+        node in proptest::option::of(attr_text_strategy()),
+        events in proptest::option::of(0usize..10_000),
+        metrics in any::<bool>(),
+        trace in any::<bool>(),
+    ) {
+        let query = FlowStatusQuery { transaction, node, events, metrics, trace };
+        let request = DataGridRequest::status("prop", "operator", query);
+        let parsed = parse_request(&request.to_xml()).expect("round trip parses");
+        prop_assert_eq!(parsed, request);
+    }
+
+    /// The status wire pair's response half: any node report with
+    /// children, events, metrics, and spans (with or without parent,
+    /// end, and attributes) survives a response XML round trip.
+    #[test]
+    fn status_reports_round_trip_the_wire(report in status_report_strategy()) {
+        let response = dgl::DataGridResponse::status("prop", report);
+        let parsed = dgl::parse_response(&response.to_xml()).expect("round trip parses");
+        prop_assert_eq!(parsed, response);
+    }
+
+    /// The telemetry wire pair's request half: every scrape/tail/limit
+    /// combination survives a request XML round trip.
+    #[test]
+    fn telemetry_queries_round_trip_the_wire(
+        scrape in any::<bool>(),
+        tail_from in proptest::option::of(0u64..u64::MAX / 2),
+        tail_limit in proptest::option::of(0usize..100_000),
+    ) {
+        let request = DataGridRequest::telemetry("prop", "operator", TelemetryQuery { scrape, tail_from, tail_limit });
+        let parsed = parse_request(&request.to_xml()).expect("round trip parses");
+        prop_assert_eq!(parsed, request);
+    }
+
+    /// The telemetry wire pair's response half: any scrape text (byte
+    /// for byte, final newline included), event page, and cursor
+    /// survives a response XML round trip.
+    #[test]
+    fn telemetry_reports_round_trip_the_wire(
+        time_us in 0u64..u64::MAX / 2,
+        scrape in proptest::option::of(scrape_strategy()),
+        events in proptest::collection::vec(report_event_strategy(), 0..5),
+        next_cursor in proptest::option::of(0u64..1_000_000),
+        dropped in proptest::option::of(0u64..1_000_000),
+    ) {
+        let report = TelemetryReport { time_us, scrape, events, next_cursor, dropped };
+        let response = dgl::DataGridResponse::telemetry("prop", report);
+        let parsed = dgl::parse_response(&response.to_xml()).expect("round trip parses");
+        prop_assert_eq!(parsed, response);
+    }
+
+    /// The time-travel wire pair's request half: every op, and every
+    /// bisect predicate, survives a request XML round trip.
+    #[test]
+    fn time_travel_queries_round_trip_the_wire(query in time_travel_query_strategy()) {
+        let request = DataGridRequest::time_travel("prop", "operator", query);
+        let parsed = parse_request(&request.to_xml()).expect("round trip parses");
+        prop_assert_eq!(parsed, request);
+    }
+
+    /// The time-travel wire pair's response half: any mix of the
+    /// inspect, diff, bisect, and error halves survives a response XML
+    /// round trip.
+    #[test]
+    fn time_travel_reports_round_trip_the_wire(
+        time_us in 0u64..u64::MAX / 2,
+        enabled in any::<bool>(),
+        last_ordinal in proptest::option::of(0u64..100_000),
+        inspect in proptest::option::of(ordinal_summary_strategy()),
+        diff in proptest::option::of(diff_summary_strategy()),
+        bisect in proptest::option::of(bisect_summary_strategy()),
+        error in proptest::option::of(element_text_strategy()),
+    ) {
+        let report = TimeTravelReport { time_us, enabled, last_ordinal, inspect, diff, bisect, error };
+        let response = dgl::DataGridResponse::time_travel("prop", report);
+        let parsed = dgl::parse_response(&response.to_xml()).expect("round trip parses");
+        prop_assert_eq!(parsed, response);
+    }
+
+    /// The acknowledgement every flow request answers with: any
+    /// transaction, state, validity, and message survives a response
+    /// XML round trip.
+    #[test]
+    fn acknowledgements_round_trip_the_wire(
+        request_id in attr_text_strategy(),
+        transaction in attr_text_strategy(),
+        state in run_state_strategy(),
+        valid in any::<bool>(),
+        message in proptest::option::of(element_text_strategy()),
+    ) {
+        let response = dgl::DataGridResponse::ack(request_id, dgl::RequestAck { transaction, state, valid, message });
+        let parsed = dgl::parse_response(&response.to_xml()).expect("round trip parses");
         prop_assert_eq!(parsed, response);
     }
 }

@@ -123,14 +123,13 @@ fn acl_enforcement_through_the_engine() {
     assert!(dfms.grid().exists(&path("/private/secret")), "the data survived");
 }
 
-/// The P2P network routes DGL documents between zones.
+/// The P2P network (a fabric of one shard per zone) routes DGL
+/// documents between zones.
 #[test]
 fn p2p_network_federates_two_zones() {
-    let mut net = DfmsNetwork::new();
-    net.add_server("us-west", dfms_with_users(&["arun"]));
-    net.add_server("uk", dfms_with_users(&["peter"]));
-    net.lookup_mut().register(path("/sdsc"), "us-west");
-    net.lookup_mut().register(path("/cclrc"), "uk");
+    let mut net = Fabric::new();
+    net.add_shard("us-west", &["/sdsc"], dfms_with_users(&["arun"])).unwrap();
+    net.add_shard("uk", &["/cclrc"], dfms_with_users(&["peter"])).unwrap();
 
     for (user, zone) in [("arun", "/sdsc"), ("peter", "/cclrc")] {
         let flow = FlowBuilder::sequential("seed")
@@ -146,9 +145,9 @@ fn p2p_network_federates_two_zones() {
         let expected = if zone == "/sdsc" { "us-west" } else { "uk" };
         assert_eq!(routed, expected);
     }
-    assert!(net.server("us-west").unwrap().grid().exists(&path("/sdsc/data")));
-    assert!(net.server("uk").unwrap().grid().exists(&path("/cclrc/data")));
-    assert!(!net.server("uk").unwrap().grid().exists(&path("/sdsc/data")), "zones are disjoint");
+    assert!(net.engine("us-west").unwrap().grid().exists(&path("/sdsc/data")));
+    assert!(net.engine("uk").unwrap().grid().exists(&path("/cclrc/data")));
+    assert!(!net.engine("uk").unwrap().grid().exists(&path("/sdsc/data")), "zones are disjoint");
 }
 
 /// The threaded server: many clients, one deterministic engine.
