@@ -3,9 +3,10 @@
 //!
 //! Recovery re-drives every journaled command (that is what buys
 //! byte-identical state), but checkpoints with compaction drop the
-//! derived transition records and stale snapshots, so the bytes read
-//! and records verified at boot track the command count rather than
-//! the much larger full transition history. Plain `main` harness (like
+//! derived transition records other than `provenance` ones, and stale
+//! checkpoints, so the bytes read and records verified at boot track
+//! the commands issued and steps completed rather than the much larger
+//! full transition history. Plain `main` harness (like
 //! `experiments`), so it runs in offline environments where criterion
 //! is stubbed:
 //!
@@ -78,6 +79,7 @@ fn main() {
         &["commands", "ckpt every", "records on disk", "KiB", "replayed", "recover ms"],
         &rows,
     );
-    println!("\nCheckpoints + compaction shed the derived transition records, so the file and");
-    println!("the boot-time read/verify work scale with commands issued, not transitions fired.");
+    println!("\nCheckpoints + compaction shed the derived transition records except provenance, so");
+    println!("the file and the boot-time read/verify work scale with commands issued and steps");
+    println!("completed, not with every transition fired.");
 }

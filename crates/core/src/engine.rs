@@ -103,6 +103,10 @@ pub struct Dfms {
     catalog: VirtualDataCatalog,
     queue: EventQueue<Work>,
     runs: Vec<Run>,
+    /// Runs not yet known to be terminal, in submission order. Pruned
+    /// when a checkpoint summarizes them, so it tracks live work rather
+    /// than history (a terminal root never leaves its state).
+    live_runs: Vec<RunId>,
     txn_index: BTreeMap<String, RunId>,
     /// The first run submitted under each lineage (restarts add later
     /// runs to a lineage; the first stays).
@@ -157,6 +161,7 @@ impl Dfms {
             catalog: VirtualDataCatalog::new(),
             queue: EventQueue::new(),
             runs: Vec::new(),
+            live_runs: Vec::new(),
             txn_index: BTreeMap::new(),
             lineage_index: BTreeMap::new(),
             pending_ops: BTreeMap::new(),
@@ -743,6 +748,7 @@ impl Dfms {
         let flow_name = run.nodes[0].name.clone();
         let lineage = run.lineage.clone();
         self.runs.push(run);
+        self.live_runs.push(id);
         self.txn_index.insert(txn.clone(), id);
         self.lineage_index.entry(lineage.clone()).or_insert(id);
         self.obs.set_now(self.now());
@@ -2759,10 +2765,19 @@ impl Dfms {
         }
     }
 
-    /// Write a checkpoint — the full provenance snapshot plus a
-    /// flow-state summary — and compact the journal behind it when the
-    /// config says so. Returns the checkpoint's sequence number, or
-    /// `None` when no journal is attached (or replay is in progress).
+    /// Write a checkpoint — the engine clock, the transaction counter
+    /// and a summary of the live runs — and compact the journal behind
+    /// it when the config says so. The checkpoint holds no provenance:
+    /// every provenance record is journaled once, as a `provenance`
+    /// transition that compaction keeps, so a checkpoint costs the same
+    /// late in a run as early on. Returns the checkpoint's sequence
+    /// number, or `None` when no journal is attached (or replay is in
+    /// progress).
+    ///
+    /// Once the checkpoint record is appended it counts, on the
+    /// `journal/checkpoints` metric and for the automatic cadence, even
+    /// if the compaction behind it fails; that failure is still
+    /// returned.
     pub fn checkpoint(&mut self) -> Result<Option<u64>, DfmsError> {
         match self.journal.as_ref() {
             None => return Ok(None),
@@ -2784,17 +2799,21 @@ impl Dfms {
         self.obs.prof_record_leaf(Phase::JournalFsync, sync_calls, sync_nanos);
         self.obs.prof_exit(Phase::JournalAppend);
         let seq = appended?;
-        compacted?;
         j.commands_since_checkpoint = 0;
         self.obs.inc("journal", "checkpoints");
+        compacted?;
         Ok(Some(seq))
     }
 
-    /// The `<checkpoint>` body: engine clock, transaction counter, the
-    /// provenance snapshot, and a per-flow summary.
-    fn checkpoint_element(&self) -> Element {
+    /// The `<checkpoint>` body: engine clock, transaction counter, and
+    /// one `<flow>` summary per live run. Runs found terminal leave
+    /// `live_runs` here, so the body tracks live work, not history.
+    fn checkpoint_element(&mut self) -> Element {
+        let runs = &self.runs;
+        self.live_runs.retain(|id| !runs[id.0 as usize].nodes[0].state.is_terminal());
         let mut flows = Element::new("flows");
-        for run in &self.runs {
+        for id in &self.live_runs {
+            let run = &self.runs[id.0 as usize];
             let (done, total) = run.progress(run.root());
             flows.push_element(
                 Element::new("flow")
@@ -2808,7 +2827,6 @@ impl Dfms {
         Element::new("checkpoint")
             .with_attr("time", self.now().0.to_string())
             .with_attr("nextTxn", self.next_txn.to_string())
-            .with_child(self.provenance.snapshot_element())
             .with_child(flows)
     }
 
@@ -2872,10 +2890,9 @@ impl Dfms {
         }
         recovery::check_genesis(&records, label)?;
         // Partition the journal: commands are the replay script,
-        // transitions the expectations, the last checkpoint (plus any
-        // post-checkpoint provenance transitions) the completed-step
-        // memo.
-        let (commands, expected, memo) = recovery::partition(&records);
+        // transitions the expectations, the `provenance` transitions
+        // (which compaction keeps) the completed-step memo.
+        let (commands, expected, memo) = recovery::partition(records);
         debug_assert!(
             recovery::ordinals_aligned(&expected),
             "journal transition ordinals are not strictly increasing — compaction renumbered?"
@@ -2908,11 +2925,36 @@ impl Dfms {
             steps_skipped_restart: replay.skips,
         };
         engine.last_replay = Some(stats);
-        // Fold the replayed history into one fresh checkpoint (and
-        // compact the tail behind it when configured).
+        // Every `provenance` transition survives compaction, so those
+        // derived past the newest ordinal in the file are exactly the
+        // ones the crash cut off the tail.
+        let journaled = replay.expected.last().map_or(0, |(n, _)| n.saturating_add(1));
+        engine.rejournal_provenance(&replay.derived, journaled);
+        // Checkpoint the recovered engine's live runs (and compact the
+        // journal behind it when configured).
         engine.checkpoint()?;
         let report = engine.recovery_query();
         Ok((engine, report))
+    }
+
+    /// Append the `provenance` transitions among `derived[from..]` —
+    /// re-derived by replay, missing from the journal — with their
+    /// original ordinals, so the file stays the complete provenance
+    /// copy the next recovery's completed-step memo reads. Append
+    /// failures count on `journal/errors`, like any other.
+    fn rejournal_provenance(&mut self, derived: &[String], from: u64) {
+        let Some(journal) = self.journal.as_mut().and_then(|j| j.journal.as_mut()) else { return };
+        let from = usize::try_from(from).map_or(derived.len(), |from| from.min(derived.len()));
+        let mut errors = 0;
+        for xml in &derived[from..] {
+            match dgf_xml::parse(xml) {
+                Ok(el) if el.attr("kind") == Some("provenance") => errors += u64::from(journal.append(el).is_err()),
+                _ => {}
+            }
+        }
+        if errors > 0 {
+            self.obs.add("journal", "errors", errors);
+        }
     }
 
     /// Drive the replay script: re-apply journaled commands in order,

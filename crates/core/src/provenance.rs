@@ -288,7 +288,8 @@ impl ProvenanceStore {
     }
 
     /// The snapshot as an element tree, for embedding in larger
-    /// documents (journal checkpoints embed one per checkpoint record).
+    /// documents (journal checkpoints written by older engines embed
+    /// one; recovery still reads them).
     pub fn snapshot_element(&self) -> Element {
         let mut root = Element::new("provenance");
         for r in &self.records {

@@ -20,20 +20,25 @@
 //!   re-derives them and counts divergences against the journal. `n` is
 //!   the transition's **since-genesis ordinal**: the index this
 //!   transition had in the full derivation sequence, counted from the
-//!   genesis record onward.
-//! * **checkpoint** — a full provenance snapshot plus a flow-state
-//!   summary. Checkpoints bound compaction (older transitions and stale
-//!   checkpoints are dropped) and carry the completed-step memo that
+//!   genesis record onward. `provenance` transitions are also the
+//!   journal's one on-disk copy of the provenance history: compaction
+//!   keeps them, and they are the completed-step memo that
 //!   [`dgf_dgl::ReplayStats::steps_skipped_restart`] accounts against.
+//! * **checkpoint** — `<checkpoint time="..." nextTxn="...">` with one
+//!   `<flows>/<flow>` summary per live run: its size follows live work,
+//!   not history. Checkpoints bound compaction: older non-provenance
+//!   transitions and stale checkpoints are dropped. A checkpoint written
+//!   by an older engine may still embed a `<provenance>` snapshot; such
+//!   a checkpoint survives compaction, and its records join the memo.
 //!
 //! ## Ordinal accounting across compaction
 //!
-//! Compaction drops transition records older than the surviving
-//! checkpoint but **never renumbers** the survivors, and it keeps every
-//! command — replay is always a *full* re-drive of the command script
-//! from genesis, so a freshly replayed engine re-derives transitions
-//! `0, 1, 2, ...` regardless of how many transition *records* the file
-//! still holds. The alignment invariant this module maintains (and
+//! Compaction drops non-provenance transition records older than the
+//! surviving checkpoint but **never renumbers** the survivors, and it
+//! keeps every command — replay is always a *full* re-drive of the
+//! command script from genesis, so a freshly replayed engine re-derives
+//! transitions `0, 1, 2, ...` regardless of how many transition
+//! *records* the file still holds. The alignment invariant this module maintains (and
 //! [`crate::Dfms::recover`] debug-asserts via [`ordinals_aligned`]) is:
 //! the `n` attributes of the transition records surviving in the file
 //! are **strictly increasing in file order**, so each surviving record
@@ -85,10 +90,11 @@ impl Default for JournalConfig {
 /// time-travel `Dfms::recover_to`) is driving the command script.
 #[derive(Debug)]
 pub(crate) struct ReplayState {
-    /// Completed steps known to the journal: (lineage, node) from the
-    /// last checkpoint's provenance plus every journaled `provenance`
-    /// transition. Consumed (removed) as replay re-reaches each step, so
-    /// `skips` counts each completed step once.
+    /// Completed steps known to the journal: (lineage, node) from every
+    /// journaled `provenance` transition, plus the snapshot of any
+    /// checkpoint an older engine wrote with one. Consumed (removed) as
+    /// replay re-reaches each step, so `skips` counts each completed
+    /// step once.
     pub memo: BTreeSet<(String, String)>,
     /// Journaled transitions, as (`n`, compact XML with the journal's
     /// `seq` attribute stripped). `n` is the since-genesis ordinal;
@@ -191,11 +197,11 @@ impl EngineJournal {
 
 /// The ordinal alignment invariant: the `n` attributes of the
 /// transition records surviving in a journal file must be strictly
-/// increasing in file order. Compaction preserves this because it drops
-/// a *prefix* of the transition records (everything older than the
-/// surviving checkpoint) and never renumbers the rest; replay depends
-/// on it because each surviving record is verified against
-/// `derived[n]`. [`crate::Dfms::recover`] turns this into a debug
+/// increasing in file order. Compaction preserves this because it keeps
+/// a *subsequence* of the transition records (every `provenance`
+/// transition, and everything from the surviving checkpoint on) and
+/// never reorders or renumbers them; replay depends on it because each
+/// surviving record is verified against `derived[n]`. [`crate::Dfms::recover`] turns this into a debug
 /// assertion over the partitioned journal.
 pub(crate) fn ordinals_aligned(expected: &[(u64, String)]) -> bool {
     expected.windows(2).all(|w| w[0].0 < w[1].0)
@@ -221,12 +227,14 @@ pub(crate) fn check_genesis(records: &[Record], label: &str) -> Result<(), DfmsE
 
 /// Partition a journal into the three replay inputs: commands are the
 /// replay script, transitions the `(ordinal, stripped XML)`
-/// expectations, and the last checkpoint's provenance (plus every
-/// journaled `provenance` transition) the completed-step memo that
-/// [`dgf_dgl::ReplayStats::steps_skipped_restart`] accounts against.
+/// expectations, and every journaled `provenance` transition (plus the
+/// snapshot in any checkpoint an older engine wrote) the completed-step
+/// memo that [`dgf_dgl::ReplayStats::steps_skipped_restart`] accounts
+/// against. Takes the records by value: command bodies move into the
+/// script and transition bodies are stripped in place, never cloned.
 #[allow(clippy::type_complexity)]
 pub(crate) fn partition(
-    records: &[Record],
+    records: Vec<Record>,
 ) -> (Vec<Element>, Vec<(u64, String)>, BTreeSet<(String, String)>) {
     let mut commands: Vec<Element> = Vec::new();
     let mut expected: Vec<(u64, String)> = Vec::new();
@@ -238,18 +246,20 @@ pub(crate) fn partition(
             }
         }
     };
-    for r in records {
+    for mut r in records {
         match r.kind {
-            RecordKind::Command => commands.push(r.body.clone()),
+            RecordKind::Command => commands.push(r.body),
             RecordKind::Transition => {
                 let n = r.body.attr("n").and_then(|v| v.parse().ok()).unwrap_or(u64::MAX);
-                expected.push((n, strip_seq(&r.body).to_xml()));
                 if r.body.attr("kind") == Some("provenance") {
                     if let Some(rec) = r.body.child("record") {
                         memo_record(&mut memo, rec);
                     }
                 }
+                strip_seq(&mut r.body);
+                expected.push((n, r.body.to_xml()));
             }
+            // Only checkpoints written by older engines embed provenance.
             RecordKind::Checkpoint => {
                 if let Some(prov) = r.body.child("provenance") {
                     for rec in prov.children_named("record") {
@@ -276,12 +286,10 @@ pub(crate) fn transition(kind: &str) -> Element {
     Element::new("transition").with_attr("kind", kind)
 }
 
-/// Clone a journaled body without the journal's own `seq` attribute, so
+/// Remove the journal's own `seq` attribute from a journaled body, so
 /// it compares equal to a freshly re-derived transition.
-pub(crate) fn strip_seq(el: &Element) -> Element {
-    let mut e = el.clone();
-    e.attributes.retain(|(name, _)| name != "seq");
-    e
+pub(crate) fn strip_seq(el: &mut Element) {
+    el.attributes.retain(|(name, _)| name != "seq");
 }
 
 /// Encode [`RunOptions`] for a `submitFlow` command. Omitted entirely
@@ -400,8 +408,11 @@ mod tests {
         // A fresh (never compacted) journal: ordinals from zero.
         assert!(ordinals_aligned(&[t(0), t(1), t(2)]));
         // A compacted journal: a dropped prefix leaves a strictly
-        // increasing suffix that starts above zero.
+        // increasing suffix that starts above zero...
         assert!(ordinals_aligned(&[t(41), t(42), t(45)]));
+        // ...and the kept provenance transitions ahead of it keep the
+        // sequence strictly increasing, with gaps.
+        assert!(ordinals_aligned(&[t(2), t(17), t(41), t(42), t(45)]));
         // Renumbering or reordering the survivors breaks alignment.
         assert!(!ordinals_aligned(&[t(3), t(3)]));
         assert!(!ordinals_aligned(&[t(5), t(2), t(9)]));
@@ -428,10 +439,10 @@ mod tests {
 
     #[test]
     fn strip_seq_removes_only_the_journal_stamp() {
-        let el = Element::new("transition").with_attr("kind", "x").with_attr("seq", "9").with_attr("n", "0");
-        let stripped = strip_seq(&el);
-        assert_eq!(stripped.attr("seq"), None);
-        assert_eq!(stripped.attr("kind"), Some("x"));
-        assert_eq!(stripped.attr("n"), Some("0"));
+        let mut el = Element::new("transition").with_attr("kind", "x").with_attr("seq", "9").with_attr("n", "0");
+        strip_seq(&mut el);
+        assert_eq!(el.attr("seq"), None);
+        assert_eq!(el.attr("kind"), Some("x"));
+        assert_eq!(el.attr("n"), Some("0"));
     }
 }

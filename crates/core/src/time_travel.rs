@@ -380,7 +380,7 @@ impl Dfms {
             });
         }
         recovery::check_genesis(&records, label)?;
-        let (commands, expected, memo) = recovery::partition(&records);
+        let (commands, expected, memo) = recovery::partition(records);
         debug_assert!(
             recovery::ordinals_aligned(&expected),
             "journal transition ordinals are not strictly increasing — compaction renumbered?"

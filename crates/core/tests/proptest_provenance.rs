@@ -1,8 +1,11 @@
 //! Property tests over the provenance store's durable form: any store —
 //! arbitrary records, every outcome, optional trace links — survives a
-//! snapshot → restore round trip byte- and field-identically. This is
-//! the invariant crash recovery leans on: journal checkpoints embed
-//! provenance snapshots, and replay rebuilds the store from them.
+//! snapshot → restore round trip byte- and field-identically, so a
+//! snapshot an operator exports (or one an older journal checkpoint
+//! embeds) restores exactly. Crash recovery does not restore the store
+//! from snapshots: replay re-derives every record from the journaled
+//! commands, and the journaled `provenance` transitions only tell it
+//! which steps had completed.
 
 use dgf_dfms::{ProvenanceRecord, ProvenanceStore, StepOutcome};
 use dgf_simgrid::SimTime;

@@ -4,7 +4,7 @@ use crate::crc32::crc32;
 use dgf_xml::Element;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read as _, Seek, SeekFrom, Write as _};
+use std::io::{BufWriter, Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 /// The 8-byte file header: magic plus format version.
@@ -24,7 +24,7 @@ pub enum RecordKind {
     Command,
     /// `<transition>` — a derived effect; verification material.
     Transition,
-    /// `<checkpoint>` — full snapshot; compaction boundary.
+    /// `<checkpoint>` — live-state summary; compaction boundary.
     Checkpoint,
     /// `<busFrame>` — one inter-shard bus event (sent, received, or a
     /// federation bookkeeping mark); the `dgf-fabric` replay script.
@@ -85,10 +85,10 @@ pub struct OpenReport {
 /// Outcome of a compaction pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactStats {
-    /// Records kept (genesis, commands, the checkpoint, and everything
-    /// after it).
+    /// Records kept (every record the survival rule keeps, the
+    /// checkpoint, and everything after it).
     pub kept: u64,
-    /// Transition and stale checkpoint records dropped.
+    /// Older non-provenance transitions and stale checkpoints dropped.
     pub dropped: u64,
     /// File size before, in bytes.
     pub bytes_before: u64,
@@ -153,6 +153,44 @@ fn io_err(context: &str, e: std::io::Error) -> JournalError {
     JournalError::Io(format!("{context}: {e}"))
 }
 
+/// Where one frame sits in the file, and whether it outlives
+/// compaction. [`Journal::open`] builds the index from the frames it
+/// validates and [`Journal::append`] extends it, so compaction never
+/// has to parse a payload to decide what to keep.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    seq: u64,
+    kind: RecordKind,
+    /// Kept by every compaction ([`survives_compaction`]).
+    survives: bool,
+    /// Byte offset of the frame's `len|crc` header.
+    offset: u64,
+    /// Payload length in bytes.
+    len: u32,
+}
+
+impl Frame {
+    /// Frame length on disk: the 8-byte `len|crc` header plus payload.
+    fn span(&self) -> u64 {
+        8 + self.len as u64
+    }
+}
+
+/// The compaction survival rule. Genesis, commands and bus frames are
+/// replay scripts; `provenance` transitions are the journal's one
+/// on-disk copy of the provenance history and the source of the
+/// completed-step memo; a checkpoint carrying a `<provenance>` child
+/// was written by an older engine that snapshotted provenance there
+/// instead. Everything else (other transitions, checkpoints) survives
+/// only at or after the compaction checkpoint.
+fn survives_compaction(kind: RecordKind, body: &Element) -> bool {
+    match kind {
+        RecordKind::Genesis | RecordKind::Command | RecordKind::BusFrame => true,
+        RecordKind::Transition => body.attr("kind") == Some("provenance"),
+        RecordKind::Checkpoint => body.child("provenance").is_some(),
+    }
+}
+
 /// An open, appendable journal file.
 #[derive(Debug)]
 pub struct Journal {
@@ -160,7 +198,8 @@ pub struct Journal {
     file: File,
     policy: SyncPolicy,
     next_seq: u64,
-    records: u64,
+    /// One entry per record in the file, in file order.
+    frames: Vec<Frame>,
     offset: u64,
     unsynced: u32,
     last_checkpoint_seq: Option<u64>,
@@ -191,30 +230,22 @@ impl Journal {
         file.read_to_end(&mut bytes).map_err(|e| io_err("read", e))?;
 
         let mut report = OpenReport::default();
-        let records;
-        let good_len;
-        if bytes.is_empty() {
+        let (records, frames, good_len) = if bytes.is_empty() {
             file.write_all(FILE_HEADER).map_err(|e| io_err("write header", e))?;
             file.sync_data().map_err(|e| io_err("sync header", e))?;
             report.created = true;
-            records = Vec::new();
-            good_len = FILE_HEADER.len() as u64;
+            (Vec::new(), Vec::new(), FILE_HEADER.len() as u64)
         } else {
-            let (parsed, good) = parse_frames(&bytes)?;
+            let (records, frames, good) = parse_frames(&bytes)?;
             if good < bytes.len() as u64 {
                 report.truncated_bytes = bytes.len() as u64 - good;
                 file.set_len(good).map_err(|e| io_err("truncate torn tail", e))?;
                 file.sync_data().map_err(|e| io_err("sync truncation", e))?;
             }
-            records = parsed;
-            good_len = good;
-        }
+            (records, frames, good)
+        };
         report.records = records.len() as u64;
-        report.last_checkpoint_seq = records
-            .iter()
-            .rev()
-            .find(|r| r.kind == RecordKind::Checkpoint)
-            .map(|r| r.seq);
+        report.last_checkpoint_seq = last_checkpoint(&frames);
         file.seek(SeekFrom::Start(good_len)).map_err(|e| io_err("seek", e))?;
 
         let journal = Journal {
@@ -222,7 +253,7 @@ impl Journal {
             file,
             policy,
             next_seq: records.last().map(|r| r.seq + 1).unwrap_or(1),
-            records: records.len() as u64,
+            frames,
             offset: good_len,
             unsynced: 0,
             last_checkpoint_seq: report.last_checkpoint_seq,
@@ -240,16 +271,12 @@ impl Journal {
         if bytes.is_empty() {
             return Ok((Vec::new(), OpenReport { created: true, ..Default::default() }));
         }
-        let (records, good) = parse_frames(&bytes)?;
+        let (records, frames, good) = parse_frames(&bytes)?;
         let report = OpenReport {
             created: false,
             records: records.len() as u64,
             truncated_bytes: bytes.len() as u64 - good,
-            last_checkpoint_seq: records
-                .iter()
-                .rev()
-                .find(|r| r.kind == RecordKind::Checkpoint)
-                .map(|r| r.seq),
+            last_checkpoint_seq: last_checkpoint(&frames),
         };
         Ok((records, report))
     }
@@ -280,9 +307,15 @@ impl Journal {
         frame.extend_from_slice(&crc32(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
         self.file.write_all(&frame).map_err(|e| io_err("append", e))?;
+        self.frames.push(Frame {
+            seq,
+            kind,
+            survives: survives_compaction(kind, &body),
+            offset: self.offset,
+            len: payload.len() as u32,
+        });
         self.offset += frame.len() as u64;
         self.next_seq += 1;
-        self.records += 1;
         if kind == RecordKind::Checkpoint {
             self.last_checkpoint_seq = Some(seq);
         }
@@ -324,58 +357,43 @@ impl Journal {
         taken
     }
 
-    /// Compact the journal at a checkpoint boundary: keep the genesis
-    /// record, every command (the replay script is retained from
-    /// genesis), the checkpoint at `checkpoint_seq`, and every record
-    /// after it; drop older transitions and stale checkpoints, whose
-    /// content the checkpoint subsumes. Atomic: the new file is written
-    /// beside the old and renamed over it.
+    /// Compact the journal at a checkpoint boundary: keep every record
+    /// the survival rule keeps (genesis, commands, bus frames,
+    /// `provenance` transitions, and checkpoints that still embed a
+    /// `<provenance>` snapshot), the checkpoint at `checkpoint_seq`,
+    /// and every record after it; drop older transitions and stale
+    /// checkpoints. The crate documentation states the rule.
+    ///
+    /// Compaction works from the frame index and never parses a
+    /// payload: it checks the length and CRC of every frame in the
+    /// file, then copies the kept frames' bytes verbatim into a new
+    /// file beside the old one, renames it over the journal and fsyncs
+    /// the directory, so the rename survives a power loss.
     ///
     /// Fails with [`JournalError::Corrupt`], leaving the file as it
-    /// was, when the re-read stops short of the append position: a
-    /// frame inside the file no longer validates, and a rewrite would
-    /// silently drop every record after it.
+    /// was, when any frame no longer validates — kept or not: a
+    /// rewrite would either carry the damage forward or silently drop
+    /// every record after it.
     pub fn compact(&mut self, checkpoint_seq: u64) -> Result<CompactStats, JournalError> {
         self.sync()?;
-        // Scoped so the file image is freed before the rewrite below;
-        // holding both would raise peak memory by the journal's size.
-        let (records, readable) = {
-            let bytes = fs::read(&self.path)
-                .map_err(|e| io_err(&format!("read {}", self.path.display()), e))?;
-            parse_frames(&bytes)?
-        };
-        if readable < self.offset {
+        let bytes =
+            fs::read(&self.path).map_err(|e| io_err(&format!("read {}", self.path.display()), e))?;
+        check_header(&bytes)?;
+        if let Some(bad) = self.frames.iter().find(|f| !frame_intact(&bytes, f)) {
             return Err(JournalError::Corrupt(format!(
-                "{}: the frame at byte {readable} fails validation, {} of {} written bytes unreadable",
+                "{}: the frame at byte {} (seq {}) fails validation, {} of {} written bytes unreadable",
                 self.path.display(),
-                self.offset - readable,
+                bad.offset,
+                bad.seq,
+                self.offset - bad.offset,
                 self.offset
             )));
         }
         let bytes_before = self.offset;
-        let keep: Vec<&Record> = records
-            .iter()
-            .filter(|r| match r.kind {
-                RecordKind::Genesis | RecordKind::Command | RecordKind::BusFrame => true,
-                RecordKind::Checkpoint | RecordKind::Transition => r.seq >= checkpoint_seq,
-            })
-            .collect();
-        let dropped = records.len() - keep.len();
-
         let tmp = self.path.with_extension("compact-tmp");
-        {
-            let mut out = File::create(&tmp)
-                .map_err(|e| io_err(&format!("create {}", tmp.display()), e))?;
-            out.write_all(FILE_HEADER).map_err(|e| io_err("write header", e))?;
-            for r in &keep {
-                let payload = r.body.to_xml().into_bytes();
-                out.write_all(&(payload.len() as u32).to_le_bytes())
-                    .and_then(|_| out.write_all(&crc32(&payload).to_le_bytes()))
-                    .and_then(|_| out.write_all(&payload))
-                    .map_err(|e| io_err("write compacted frame", e))?;
-            }
-            out.sync_data().map_err(|e| io_err("sync compacted file", e))?;
-        }
+        let kept = write_kept_frames(&tmp, &bytes, &self.frames, checkpoint_seq).inspect_err(|_| {
+            let _ = fs::remove_file(&tmp);
+        })?;
         fs::rename(&tmp, &self.path).map_err(|e| io_err("rename compacted file", e))?;
 
         self.file = OpenOptions::new()
@@ -384,11 +402,13 @@ impl Journal {
             .open(&self.path)
             .map_err(|e| io_err("reopen after compaction", e))?;
         self.offset = self.file.seek(SeekFrom::End(0)).map_err(|e| io_err("seek", e))?;
-        self.records = keep.len() as u64;
+        let dropped = (self.frames.len() - kept.len()) as u64;
+        self.frames = kept;
         self.unsynced = 0;
+        sync_parent_dir(&self.path)?;
         Ok(CompactStats {
-            kept: keep.len() as u64,
-            dropped: dropped as u64,
+            kept: self.frames.len() as u64,
+            dropped,
             bytes_before,
             bytes_after: self.offset,
         })
@@ -415,7 +435,7 @@ impl Journal {
 
     /// Records currently in the file (after any compaction).
     pub fn records_in_file(&self) -> u64 {
-        self.records
+        self.frames.len() as u64
     }
 
     /// Current file size in bytes — the journal position.
@@ -434,37 +454,92 @@ impl Journal {
     pub fn truncate_records(path: &Path, keep: usize) -> Result<usize, JournalError> {
         let bytes =
             fs::read(path).map_err(|e| io_err(&format!("read {}", path.display()), e))?;
-        let (records, _) = parse_frames(&bytes)?;
-        let kept = keep.min(records.len());
-        // Walk the frames again to find the byte boundary after `kept`.
-        let mut off = FILE_HEADER.len();
-        for _ in 0..kept {
-            let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-            off += 8 + len;
-        }
+        let (_, frames, good) = parse_frames(&bytes)?;
+        let kept = keep.min(frames.len());
+        let cut = frames.get(kept).map(|f| f.offset).unwrap_or(good);
         let f = OpenOptions::new()
             .write(true)
             .open(path)
             .map_err(|e| io_err("open for truncate", e))?;
-        f.set_len(off as u64).map_err(|e| io_err("truncate", e))?;
+        f.set_len(cut).map_err(|e| io_err("truncate", e))?;
         f.sync_data().map_err(|e| io_err("sync", e))?;
         Ok(kept)
     }
 }
 
-/// Parse the byte image of a journal: header, then frames until the
-/// first violation. Returns the valid records and the byte offset of
-/// the end of the last valid frame (everything past it is torn tail).
-fn parse_frames(bytes: &[u8]) -> Result<(Vec<Record>, u64), JournalError> {
+/// Seq of the newest checkpoint among `frames`.
+fn last_checkpoint(frames: &[Frame]) -> Option<u64> {
+    frames.iter().rev().find(|f| f.kind == RecordKind::Checkpoint).map(|f| f.seq)
+}
+
+/// Does `frame` still hold, in the file image `bytes`, the length and
+/// CRC it was written with?
+fn frame_intact(bytes: &[u8], frame: &Frame) -> bool {
+    let start = frame.offset as usize;
+    let Some(on_disk) = bytes.get(start..start + frame.span() as usize) else { return false };
+    on_disk[..4] == frame.len.to_le_bytes() && on_disk[4..8] == crc32(&on_disk[8..]).to_le_bytes()
+}
+
+/// Write a compacted journal to `tmp` and fsync it: the header, then —
+/// verbatim from the verified file image `bytes` — every frame that
+/// survives compaction at `checkpoint_seq`. Returns the kept frames,
+/// re-based to their offsets in the new file.
+fn write_kept_frames(
+    tmp: &Path,
+    bytes: &[u8],
+    frames: &[Frame],
+    checkpoint_seq: u64,
+) -> Result<Vec<Frame>, JournalError> {
+    let file = File::create(tmp).map_err(|e| io_err(&format!("create {}", tmp.display()), e))?;
+    let mut out = BufWriter::with_capacity(1 << 16, file);
+    out.write_all(FILE_HEADER).map_err(|e| io_err("write header", e))?;
+    let mut kept = Vec::with_capacity(frames.len());
+    let mut offset = FILE_HEADER.len() as u64;
+    for f in frames.iter().filter(|f| f.survives || f.seq >= checkpoint_seq) {
+        let start = f.offset as usize;
+        out.write_all(&bytes[start..start + f.span() as usize])
+            .map_err(|e| io_err("write compacted frame", e))?;
+        kept.push(Frame { offset, ..*f });
+        offset += f.span();
+    }
+    let file = out.into_inner().map_err(|e| io_err("flush compacted file", e.into_error()))?;
+    file.sync_data().map_err(|e| io_err("sync compacted file", e))?;
+    Ok(kept)
+}
+
+/// fsync the directory holding `path`, so a rename into it is durable:
+/// without this, a power loss can bring back the old directory entry
+/// and, with it, the pre-compaction file.
+fn sync_parent_dir(path: &Path) -> Result<(), JournalError> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err(&format!("sync directory {}", dir.display()), e))
+}
+
+/// Refuse a byte image that does not start with the journal header.
+fn check_header(bytes: &[u8]) -> Result<(), JournalError> {
     if bytes.len() < FILE_HEADER.len() || &bytes[..FILE_HEADER.len()] != FILE_HEADER {
         return Err(JournalError::BadHeader(format!(
             "missing {:?} header",
             String::from_utf8_lossy(FILE_HEADER)
         )));
     }
+    Ok(())
+}
+
+/// Parse the byte image of a journal: header, then frames until the
+/// first violation. Returns the valid records, their frame index, and
+/// the byte offset of the end of the last valid frame (everything past
+/// it is torn tail).
+fn parse_frames(bytes: &[u8]) -> Result<(Vec<Record>, Vec<Frame>, u64), JournalError> {
+    check_header(bytes)?;
     let mut records = Vec::new();
+    let mut frames = Vec::new();
     let mut off = FILE_HEADER.len();
-    let mut good = off as u64;
     let mut last_seq = 0u64;
     while bytes.len() - off >= 8 {
         let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
@@ -488,11 +563,12 @@ fn parse_frames(bytes: &[u8]) -> Result<(Vec<Record>, u64), JournalError> {
             break; // seqs are strictly increasing; anything else is corruption
         }
         last_seq = seq;
-        off += 8 + len;
-        good = off as u64;
+        let survives = survives_compaction(kind, &body);
+        frames.push(Frame { seq, kind, survives, offset: off as u64, len: len as u32 });
         records.push(Record { seq, kind, body });
+        off += 8 + len;
     }
-    Ok((records, good))
+    Ok((records, frames, off as u64))
 }
 
 #[cfg(test)]
@@ -711,5 +787,137 @@ mod tests {
         let (recs, _) = Journal::read(&p).unwrap();
         assert_eq!(recs.len(), 3);
         fs::remove_file(&p).unwrap();
+    }
+
+    fn provenance(node: &str) -> Element {
+        Element::new("transition").with_attr("kind", "provenance").with_child(
+            Element::new("record").with_attr("node", node).with_attr("outcome", "completed"),
+        )
+    }
+
+    /// The raw bytes of every frame in a journal image, in file order.
+    fn frames_of(bytes: &[u8]) -> Vec<&[u8]> {
+        let mut frames = Vec::new();
+        let mut off = FILE_HEADER.len();
+        while off < bytes.len() {
+            let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+            frames.push(&bytes[off..off + 8 + len]);
+            off += 8 + len;
+        }
+        frames
+    }
+
+    #[test]
+    fn compaction_copies_kept_frames_verbatim_and_keeps_provenance() {
+        let p = tmp("verbatim");
+        let (mut j, _, _) = Journal::open(&p, SyncPolicy::EveryRecord).unwrap();
+        j.append(Element::new("genesis").with_attr("label", "g")).unwrap(); // 1
+        j.append(cmd("submit")).unwrap(); // 2
+        j.append(trans("step.start")).unwrap(); // 3
+        j.append(provenance("/0")).unwrap(); // 4
+        // A checkpoint written before checkpoints stopped embedding a
+        // provenance snapshot: the only copy of that history.
+        let legacy = Element::new("checkpoint")
+            .with_child(Element::new("provenance").with_child(Element::new("record")));
+        j.append(legacy).unwrap(); // 5
+        j.append(trans("binding")).unwrap(); // 6
+        j.append(Element::new("checkpoint")).unwrap(); // 7: stale
+        j.append(cmd("pump")).unwrap(); // 8
+        j.append(provenance("/1")).unwrap(); // 9
+        j.append(trans("step.start")).unwrap(); // 10
+        let ck = j.append(Element::new("checkpoint")).unwrap(); // 11
+        j.append(trans("after")).unwrap(); // 12
+
+        let before = fs::read(&p).unwrap();
+        let frames = frames_of(&before);
+        let kept_seqs = [1u64, 2, 4, 5, 8, 9, 11, 12];
+        let mut expected = FILE_HEADER.to_vec();
+        for seq in kept_seqs {
+            expected.extend_from_slice(frames[seq as usize - 1]);
+        }
+        let stats = j.compact(ck).unwrap();
+        assert_eq!((stats.kept, stats.dropped), (8, 4));
+        assert_eq!(fs::read(&p).unwrap(), expected, "kept frames are copied byte for byte");
+        assert_eq!(stats.bytes_after, expected.len() as u64);
+        assert_eq!(j.records_in_file(), 8);
+
+        // The rebased index keeps appends and reopens consistent.
+        assert_eq!(j.append(cmd("resume")).unwrap(), 13);
+        drop(j);
+        let (_, recs, report) = Journal::open(&p, SyncPolicy::default()).unwrap();
+        assert_eq!(report.truncated_bytes, 0);
+        let seqs: Vec<u64> = recs.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![1, 2, 4, 5, 8, 9, 11, 12, 13]);
+        let provenance_kept =
+            recs.iter().filter(|r| r.body.attr("kind") == Some("provenance")).count();
+        assert_eq!(provenance_kept, 2, "provenance transitions survive compaction");
+        fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn compaction_refuses_a_corrupt_kept_frame() {
+        let p = tmp("compact-corrupt-kept");
+        let (mut j, _, _) = Journal::open(&p, SyncPolicy::EveryRecord).unwrap();
+        j.append(Element::new("genesis").with_attr("label", "g")).unwrap(); // 1
+        j.append(cmd("submit")).unwrap(); // 2
+        j.append(trans("step.done")).unwrap(); // 3
+        j.append(cmd("pump")).unwrap(); // 4
+        let ck = j.append(Element::new("checkpoint")).unwrap(); // 5
+        // Flip one payload byte inside the submit command (seq 2), a
+        // frame compaction would keep.
+        let mut bytes = fs::read(&p).unwrap();
+        let at = FILE_HEADER.len() + frames_of(&bytes)[0].len() + 12;
+        bytes[at] ^= 0x40;
+        fs::write(&p, &bytes).unwrap();
+
+        match j.compact(ck) {
+            Err(JournalError::Corrupt(msg)) => {
+                assert!(msg.contains("fails validation") && msg.contains("seq 2"), "{msg}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        assert_eq!(fs::read(&p).unwrap(), bytes, "the journal is left byte-identical");
+        assert!(!p.with_extension("compact-tmp").exists());
+        drop(j);
+        let (_, recs, _) = Journal::open(&p, SyncPolicy::default()).unwrap();
+        assert_eq!(recs.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![1]);
+        fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn compacting_a_reopened_journal_matches_compacting_the_live_one() {
+        let live = tmp("index-live");
+        let reopened = tmp("index-reopened");
+        let (mut j, _, _) = Journal::open(&live, SyncPolicy::Batch(4)).unwrap();
+        j.append(Element::new("genesis").with_attr("label", "g")).unwrap();
+        for i in 0..6 {
+            j.append(cmd(&format!("c{i}"))).unwrap();
+            j.append(trans("step.start")).unwrap();
+            j.append(provenance(&format!("/{i}"))).unwrap();
+            if i % 2 == 1 {
+                j.append(Element::new("checkpoint").with_attr("i", i.to_string())).unwrap();
+            }
+        }
+        let ck = j.append(Element::new("checkpoint")).unwrap();
+        j.append(trans("tail")).unwrap();
+        j.sync().unwrap();
+        fs::copy(&live, &reopened).unwrap();
+
+        // The index `append` built and the one `open` rebuilds from the
+        // same bytes must compact to the same bytes, twice over.
+        let (mut r, _, _) = Journal::open(&reopened, SyncPolicy::Batch(4)).unwrap();
+        assert_eq!(j.compact(ck).unwrap(), r.compact(ck).unwrap());
+        assert_eq!(fs::read(&live).unwrap(), fs::read(&reopened).unwrap());
+        for journal in [&mut j, &mut r] {
+            journal.append(cmd("more")).unwrap();
+            journal.append(provenance("/more")).unwrap();
+        }
+        let ck2 = j.append(Element::new("checkpoint")).unwrap();
+        assert_eq!(r.append(Element::new("checkpoint")).unwrap(), ck2);
+        assert_eq!(j.compact(ck2).unwrap(), r.compact(ck2).unwrap());
+        assert_eq!(fs::read(&live).unwrap(), fs::read(&reopened).unwrap());
+        drop((j, r));
+        fs::remove_file(&live).unwrap();
+        fs::remove_file(&reopened).unwrap();
     }
 }

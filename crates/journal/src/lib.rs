@@ -26,14 +26,32 @@
 //!   a provenance record). Transitions are not needed to replay — they
 //!   are re-derived — but they let recovery *verify* the replay and
 //!   know, before re-driving anything, which steps already completed.
-//! - `<checkpoint>` — a full provenance snapshot plus run-tree and
-//!   counter summary. At a checkpoint boundary the journal is
-//!   compacted: transitions older than the checkpoint are dropped
-//!   (their content lives in the checkpoint), commands are kept from
-//!   genesis (they are the replay script and stay cheap).
+//! - `<checkpoint>` — a summary of the engine's live state (clock,
+//!   counters, live runs); the compaction boundary.
 //!
-//! The journal does not interpret record bodies beyond the element name;
-//! the engine in `dgf-dfms` owns the vocabulary inside them.
+//! The journal does not interpret record bodies beyond the element name,
+//! with one exception, the **survival rule**: which records every
+//! compaction keeps.
+//!
+//! - Always kept: `<genesis>`, every `<command>` and `<busFrame>` (the
+//!   replay scripts, kept from genesis because they stay cheap), every
+//!   `<transition kind="provenance">` (the journal's one on-disk copy
+//!   of the provenance history, and the source of recovery's
+//!   completed-step memo), and every `<checkpoint>` that has a
+//!   `<provenance>` child (written by older engines, whose checkpoints
+//!   snapshotted provenance instead; it is the only copy of the records
+//!   their compactions dropped).
+//! - Kept only at or after the compaction checkpoint: every other
+//!   transition and checkpoint.
+//!
+//! Everything else inside the bodies belongs to the engine in
+//! `dgf-dfms`.
+//!
+//! Compaction needs no payload parse to apply the rule: the journal
+//! keeps an index of its frames (seq, kind, survives-compaction, byte
+//! offset, length), built by [`Journal::open`] and extended by
+//! [`Journal::append`]. [`Journal::compact`] checks the CRC of every
+//! frame in the file and copies the kept frames' bytes verbatim.
 //!
 //! ## On-disk format
 //!
@@ -57,7 +75,15 @@
 //! and genesis records are always synced before the append returns —
 //! that is the write-ahead contract: a command is durable before the
 //! engine acts on it. Transitions are batched per policy; losing a few
-//! costs nothing but verification coverage, since replay re-derives them.
+//! costs nothing but verification coverage, since replay re-derives them
+//! (and the engine's recovery journals again the `provenance`
+//! transitions a crash cut off).
+//!
+//! Compaction fsyncs the rewritten file, renames it over the journal and
+//! then fsyncs the directory, so after a power loss the directory entry
+//! cannot point back at the pre-compaction file. Creating a journal does
+//! not fsync its directory yet: a power loss right after creation can
+//! lose the new file.
 
 mod crc32;
 mod journal;

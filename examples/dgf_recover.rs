@@ -6,12 +6,18 @@
 //!
 //! ```sh
 //! cargo run --example dgf_recover
+//! DGF_JOURNAL_OUT=/tmp/j cargo run --example dgf_recover
 //! ```
+//!
+//! With `DGF_JOURNAL_OUT` set, the journal is also copied twice: as it
+//! stood at the crash (`<prefix>.crash.dgj`) and after recovery's
+//! checkpoint and compaction (`<prefix>.recovered.dgj`). Both copies are
+//! byte-identical across reruns; stdout does not change.
 //!
 //! The operator guide for all of this is `docs/RECOVERY.md`.
 
 use datagridflows::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const LABEL: &str = "demo-grid";
 
@@ -84,6 +90,16 @@ fn fingerprint(d: &Dfms, txns: &[&str]) -> String {
     out
 }
 
+/// Copy the journal at `path` to `<DGF_JOURNAL_OUT>.<stage>.dgj`, when
+/// that variable is set.
+fn export_journal(path: &Path, stage: &str) {
+    if let Some(prefix) = std::env::var_os("DGF_JOURNAL_OUT") {
+        let mut out = prefix;
+        out.push(format!(".{stage}.dgj"));
+        std::fs::copy(path, &out).expect("DGF_JOURNAL_OUT is writable");
+    }
+}
+
 fn main() {
     let path: PathBuf = std::env::temp_dir().join(format!("dgf-recover-{}.dgj", std::process::id()));
     let _ = std::fs::remove_file(&path);
@@ -100,10 +116,12 @@ fn main() {
     // beyond what the WAL already guaranteed.
     drop(dfms);
     println!("\n*** crash: engine dropped with {t2} still running ***\n");
+    export_journal(&path, "crash");
 
     // --- reboot: recover from the journal ----------------------------
     let (mut revived, report) = Dfms::recover(&path, LABEL, JournalConfig::default(), factory)
         .expect("journal replays cleanly");
+    export_journal(&path, "recovered");
     println!("--- recovery report ---\n{report}");
     for flow in &report.flows {
         println!(

@@ -82,17 +82,25 @@ cargo test -q -p datagridflows --test lint_corpus
 
 # Crash-recovery determinism: the seeded crash/recover demo must report
 # byte-identical state vs its uninterrupted control, twice over (the
-# journal replay itself is deterministic), and the exhaustive
-# kill-at-every-record-boundary suite must pass.
+# journal replay itself is deterministic), the journal bytes it leaves
+# at the crash and after recovery's checkpoint must be identical across
+# the two runs, and the exhaustive kill-at-every-record-boundary suite
+# must pass.
 recover_a=$(mktemp) recover_b=$(mktemp)
-trap 'rm -f "$trace_a" "$trace_b" "$scrape_a" "$scrape_b" "$lint_a" "$lint_b" "$recover_a" "$recover_b"' EXIT
-cargo run -q --example dgf_recover >"$recover_a"
-cargo run -q --example dgf_recover >"$recover_b"
+trap 'rm -f "$trace_a" "$trace_b" "$scrape_a" "$scrape_b" "$lint_a" "$lint_b" "$recover_a"* "$recover_b"*' EXIT
+DGF_JOURNAL_OUT="$recover_a" cargo run -q --example dgf_recover >"$recover_a"
+DGF_JOURNAL_OUT="$recover_b" cargo run -q --example dgf_recover >"$recover_b"
 if ! cmp -s "$recover_a" "$recover_b"; then
     echo "verify: crash-recovery runs differ between seeded reruns" >&2
     diff "$recover_a" "$recover_b" | head -20 >&2
     exit 1
 fi
+for stage in crash recovered; do
+    if ! cmp "$recover_a.$stage.dgj" "$recover_b.$stage.dgj"; then
+        echo "verify: dgf_recover journal bytes ($stage) differ between seeded reruns" >&2
+        exit 1
+    fi
+done
 if ! grep -q 'recovery OK: crash at full flight, byte-identical state after reboot' "$recover_a"; then
     echo "verify: dgf_recover did not certify byte-identical recovery" >&2
     tail -5 "$recover_a" >&2
@@ -110,7 +118,7 @@ cargo test -q -p datagridflows --test chaos kill_at_every_record_boundary
 # byte-identical per-shard state, and the exhaustive
 # kill-at-every-bus-message-boundary suite must pass.
 fabric_a=$(mktemp) fabric_b=$(mktemp)
-trap 'rm -f "$trace_a" "$trace_b" "$scrape_a" "$scrape_b" "$lint_a" "$lint_b" "$recover_a" "$recover_b" "$fabric_a" "$fabric_b"' EXIT
+trap 'rm -f "$trace_a" "$trace_b" "$scrape_a" "$scrape_b" "$lint_a" "$lint_b" "$recover_a"* "$recover_b"* "$fabric_a" "$fabric_b"' EXIT
 cargo run -q --example dgf_fabric >"$fabric_a"
 cargo run -q --example dgf_fabric >"$fabric_b"
 if ! cmp -s "$fabric_a" "$fabric_b"; then
@@ -130,7 +138,7 @@ cargo test -q -p datagridflows --test chaos kill_at_every_bus_message_boundary
 # ordinal, diff, bisect, verified Perfetto export) must be
 # byte-identical across seeded reruns, and the bisections must land.
 travel_a=$(mktemp) travel_b=$(mktemp)
-trap 'rm -f "$trace_a" "$trace_b" "$scrape_a" "$scrape_b" "$lint_a" "$lint_b" "$recover_a" "$recover_b" "$fabric_a" "$fabric_b" "$travel_a" "$travel_b"' EXIT
+trap 'rm -f "$trace_a" "$trace_b" "$scrape_a" "$scrape_b" "$lint_a" "$lint_b" "$recover_a"* "$recover_b"* "$fabric_a" "$fabric_b" "$travel_a" "$travel_b"' EXIT
 cargo run -q --example dgf_time_travel >"$travel_a"
 cargo run -q --example dgf_time_travel >"$travel_b"
 if ! cmp -s "$travel_a" "$travel_b"; then
@@ -152,7 +160,7 @@ fi
 # fields zeroed; tree shape, call counts, sim-time totals kept) must be
 # byte-identical across two identically-seeded runs.
 profile_a=$(mktemp) profile_b=$(mktemp)
-trap 'rm -f "$trace_a" "$trace_b" "$scrape_a" "$scrape_b" "$lint_a" "$lint_b" "$recover_a" "$recover_b" "$fabric_a" "$fabric_b" "$travel_a" "$travel_b" "$profile_a" "$profile_b"' EXIT
+trap 'rm -f "$trace_a" "$trace_b" "$scrape_a" "$scrape_b" "$lint_a" "$lint_b" "$recover_a"* "$recover_b"* "$fabric_a" "$fabric_b" "$travel_a" "$travel_b" "$profile_a" "$profile_b"' EXIT
 DGF_PROFILE_OUT="$profile_a" cargo run -q --example observability >/dev/null
 DGF_PROFILE_OUT="$profile_b" cargo run -q --example observability >/dev/null
 if ! cmp -s "$profile_a" "$profile_b"; then
@@ -172,7 +180,7 @@ fi
 # in-process, and dumps the full wire-format whyReport. Two runs must
 # produce byte-identical reports.
 why_a=$(mktemp) why_b=$(mktemp) why_console=$(mktemp)
-trap 'rm -f "$trace_a" "$trace_b" "$scrape_a" "$scrape_b" "$lint_a" "$lint_b" "$recover_a" "$recover_b" "$fabric_a" "$fabric_b" "$travel_a" "$travel_b" "$profile_a" "$profile_b" "$why_a" "$why_b" "$why_console"' EXIT
+trap 'rm -f "$trace_a" "$trace_b" "$scrape_a" "$scrape_b" "$lint_a" "$lint_b" "$recover_a"* "$recover_b"* "$fabric_a" "$fabric_b" "$travel_a" "$travel_b" "$profile_a" "$profile_b" "$why_a" "$why_b" "$why_console"' EXIT
 DGF_WHY_OUT="$why_a" cargo run -q --example dgf_why >"$why_console"
 DGF_WHY_OUT="$why_b" cargo run -q --example dgf_why >/dev/null
 if ! cmp -s "$why_a" "$why_b"; then
@@ -196,7 +204,7 @@ fi
 # byte-identical reports. The self-check and golden-corpus suites ride
 # along.
 audit_a=$(mktemp) audit_b=$(mktemp)
-trap 'rm -f "$trace_a" "$trace_b" "$scrape_a" "$scrape_b" "$lint_a" "$lint_b" "$recover_a" "$recover_b" "$fabric_a" "$fabric_b" "$travel_a" "$travel_b" "$profile_a" "$profile_b" "$why_a" "$why_b" "$why_console" "$audit_a" "$audit_b"' EXIT
+trap 'rm -f "$trace_a" "$trace_b" "$scrape_a" "$scrape_b" "$lint_a" "$lint_b" "$recover_a"* "$recover_b"* "$fabric_a" "$fabric_b" "$travel_a" "$travel_b" "$profile_a" "$profile_b" "$why_a" "$why_b" "$why_console" "$audit_a" "$audit_b"' EXIT
 if ! cargo run -q --example dgf_audit >"$audit_a"; then
     echo "verify: dgf_audit found non-waived determinism hazards" >&2
     tail -30 "$audit_a" >&2

@@ -465,8 +465,9 @@ fn crash_between_checkpoint_and_first_tail_record() {
     let (revived, report) = recover_and_finish(&crash_path, config);
     let replay = report.replay.unwrap();
     assert_eq!(replay.divergences, 0);
-    // The checkpoint's provenance seeded the completed-step memo, and
-    // replay accounted every one of those steps as a skip.
+    // The `provenance` transitions compaction kept ahead of the
+    // checkpoint seeded the completed-step memo, and replay accounted
+    // every one of those steps as a skip.
     assert!(
         replay.steps_skipped_restart > 0,
         "a post-checkpoint crash must fast-forward the checkpointed steps: {report}"
@@ -493,6 +494,194 @@ fn torn_tail_is_truncated_and_recovery_proceeds() {
     assert_eq!(fingerprint(&revived), expected);
     let _ = std::fs::remove_file(&crash_path);
     let _ = std::fs::remove_file(&ref_path);
+}
+
+// ----------------------------------------------------------------------
+// Checkpoints and compaction
+// ----------------------------------------------------------------------
+
+#[test]
+fn checkpoints_summarize_live_runs_only_whatever_the_history() {
+    let config = JournalConfig { checkpoint_every: 0, ..Default::default() };
+    let path = temp_journal("history-independence");
+    let mut d = dfms(4, 7);
+    d.attach_journal(&path, LABEL, config).unwrap();
+    let mut sizes = Vec::new();
+    let mut completed = 0;
+    for target in [20, 200] {
+        while completed < target {
+            d.submit_flow("u", exec_flow(&format!("done{completed}"), 1, 30)).unwrap();
+            completed += 1;
+        }
+        d.pump();
+        // Two runs left in flight: one pending, one paused.
+        let live = [
+            d.submit_flow("u", exec_flow(&format!("live{target}a"), 2, 600)).unwrap(),
+            d.submit_flow("u", exec_flow(&format!("live{target}b"), 2, 600)).unwrap(),
+        ];
+        d.pause(&live[1]).unwrap();
+        d.checkpoint().unwrap().expect("journaled");
+        let (records, _) = Journal::read(&path).unwrap();
+        let checkpoint = &records.iter().rev().find(|r| r.body.name == "checkpoint").unwrap().body;
+        assert!(checkpoint.child("provenance").is_none(), "no provenance snapshot after {target} flows");
+        let flows: Vec<&str> = checkpoint
+            .child("flows")
+            .expect("a flow summary")
+            .children_named("flow")
+            .map(|f| f.attr("transaction").unwrap())
+            .collect();
+        assert_eq!(flows, live.iter().map(String::as_str).collect::<Vec<_>>(), "after {target} flows");
+        sizes.push(checkpoint.to_xml().len());
+        // Finish the live pair so the next round starts from history only.
+        d.resume(&live[1]).unwrap();
+        d.pump();
+        completed += 2;
+    }
+    // Ten times the history, the same checkpoint give or take the
+    // digits of a few counters.
+    assert!(sizes[1] <= sizes[0] + 16, "checkpoint grew with history: {sizes:?}");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn compaction_never_changes_recovery() {
+    let mut outcomes = Vec::new();
+    for every in [0, 1, 3] {
+        let config = JournalConfig { checkpoint_every: every, ..Default::default() };
+        let (reference, path) = journaled_reference(&format!("cadence{every}"), config);
+        let expected = fingerprint(&reference);
+        drop(reference);
+        let (revived, report) = Dfms::recover(&path, LABEL, config, || dfms(4, 7)).unwrap();
+        let replay = report.replay.unwrap();
+        assert_eq!(replay.divergences, 0, "checkpoint_every {every}: {report}");
+        assert_eq!(fingerprint(&revived), expected, "checkpoint_every {every}");
+        outcomes.push((every, fingerprint(&revived), replay.steps_skipped_restart));
+        let _ = std::fs::remove_file(&path);
+    }
+    for (every, print, skipped) in &outcomes[1..] {
+        assert_eq!(print, &outcomes[0].1, "checkpoint_every {every} changed the recovered state");
+        assert_eq!(*skipped, outcomes[0].2, "checkpoint_every {every} changed steps_skipped_restart");
+    }
+    assert!(outcomes[0].2 > 0, "the script completes steps before the crash");
+}
+
+/// A journal of [`crash_script`] with `checkpoint_every` 3, written by
+/// an engine whose checkpoints still embedded a provenance snapshot
+/// (and whose compaction dropped the `provenance` transitions behind
+/// it). Its last checkpoint is the only on-disk copy of those records.
+const PROVENANCE_CHECKPOINT_JOURNAL: &str = "journal_fixtures/chaos_every3_provenance_checkpoint.dgj";
+
+#[test]
+fn journals_with_provenance_checkpoints_keep_recovering() {
+    let config = JournalConfig { checkpoint_every: 3, ..Default::default() };
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests").join(PROVENANCE_CHECKPOINT_JOURNAL);
+    let path = temp_journal("provenance-checkpoint");
+    std::fs::copy(&fixture, &path).unwrap();
+    let (records, _) = Journal::read(&path).unwrap();
+    assert!(records.iter().any(|r| r.body.name == "checkpoint" && r.body.child("provenance").is_some()));
+
+    // What the engine that wrote the fixture reached, and then again
+    // with one more flow run live between the crashes.
+    let (mut reference, ref_path) = journaled_reference("provenance-checkpoint-ref", config);
+    let script_print = fingerprint(&reference);
+    reference.submit_flow("u", exec_flow("gamma", 3, 60)).unwrap();
+    reference.pump();
+    let extended_print = fingerprint(&reference);
+
+    // Cycle 1: recover the old journal. The skip counts are the ones
+    // the writing engine's own recovery reported.
+    let (mut revived, report) = Dfms::recover(&path, LABEL, config, || dfms(4, 7)).unwrap();
+    let replay = report.replay.unwrap();
+    assert_eq!((replay.commands_replayed, replay.divergences, replay.steps_skipped_restart), (16, 0, 15));
+    assert_eq!(fingerprint(&revived), script_print);
+    revived.submit_flow("u", exec_flow("gamma", 3, 60)).unwrap();
+    revived.pump();
+    drop(revived);
+
+    // Cycle 2: the file now mixes the old snapshot checkpoint with
+    // provenance transitions; the memo must still cover every step.
+    let (revived, report) = Dfms::recover(&path, LABEL, config, || dfms(4, 7)).unwrap();
+    let replay = report.replay.unwrap();
+    assert_eq!((replay.commands_replayed, replay.divergences, replay.steps_skipped_restart), (18, 0, 18));
+    assert_eq!(fingerprint(&revived), extended_print);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&ref_path);
+}
+
+#[test]
+fn recovery_journals_again_the_provenance_a_crash_cut_off() {
+    let config = JournalConfig { checkpoint_every: 3, ..Default::default() };
+    let (reference, ref_path) = journaled_reference("cut-provenance", config);
+    let expected = fingerprint(&reference);
+    drop(reference);
+    let full = temp_journal("cut-provenance-full");
+    std::fs::copy(&ref_path, &full).unwrap();
+    let (_, report) = Dfms::recover(&full, LABEL, config, || dfms(4, 7)).unwrap();
+    let all_completed = report.replay.unwrap().steps_skipped_restart;
+
+    // Crash right after the final pump command reached the disk: the
+    // steps it completed have no `provenance` transition in the file.
+    let (records, _) = Journal::read(&ref_path).unwrap();
+    let last_command = records.iter().rposition(|r| r.body.name == "command").unwrap();
+    Journal::truncate_records(&ref_path, last_command + 1).unwrap();
+    let (revived, report) = Dfms::recover(&ref_path, LABEL, config, || dfms(4, 7)).unwrap();
+    let replay = report.replay.unwrap();
+    assert_eq!(replay.divergences, 0);
+    assert!(replay.steps_skipped_restart < all_completed, "the cut must lose memo entries: {report}");
+    assert_eq!(fingerprint(&revived), expected);
+    drop(revived);
+
+    // The first recovery put them back, so the second one's memo is whole.
+    let (revived, report) = Dfms::recover(&ref_path, LABEL, config, || dfms(4, 7)).unwrap();
+    let replay = report.replay.unwrap();
+    assert_eq!((replay.divergences, replay.steps_skipped_restart), (0, all_completed));
+    assert_eq!(fingerprint(&revived), expected);
+    let _ = std::fs::remove_file(&full);
+    let _ = std::fs::remove_file(&ref_path);
+}
+
+/// Flip one bit of the byte at `at` in the file at `path`, in place.
+fn flip_bit(path: &Path, at: u64) {
+    use std::io::{Read, Seek, SeekFrom, Write};
+    let mut f = std::fs::OpenOptions::new().read(true).write(true).open(path).unwrap();
+    let mut byte = [0u8];
+    f.seek(SeekFrom::Start(at)).unwrap();
+    f.read_exact(&mut byte).unwrap();
+    f.seek(SeekFrom::Start(at)).unwrap();
+    f.write_all(&[byte[0] ^ 0x40]).unwrap();
+}
+
+#[test]
+fn a_failed_compaction_does_not_checkpoint_every_later_command() {
+    let config = JournalConfig { checkpoint_every: 4, ..Default::default() };
+    let path = temp_journal("failed-compaction");
+    let mut d = dfms(4, 7);
+    d.attach_journal(&path, LABEL, config).unwrap();
+    for i in 0..4 {
+        d.submit_flow("u", exec_flow(&format!("pre{i}"), 1, 30)).unwrap();
+    }
+    let counter = |d: &Dfms, name: &str| d.obs().snapshot().counter("journal", name);
+    assert_eq!(counter(&d, "checkpoints"), 1);
+    // Corrupt the first submit command, a frame every compaction keeps:
+    // header (8 bytes), the genesis frame, then into the command payload.
+    let bytes = std::fs::read(&path).unwrap();
+    let genesis_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as u64;
+    let at = 8 + 8 + genesis_len + 8 + 12;
+    flip_bit(&path, at);
+
+    for _ in 0..12 {
+        d.pump();
+    }
+    flip_bit(&path, at); // repair, so the whole file reads back
+    let (records, _) = Journal::read(&path).unwrap();
+    let in_file = records.iter().filter(|r| r.body.name == "checkpoint").count() as u64;
+    assert_eq!(in_file, 4, "12 commands at checkpoint_every 4 append 3 checkpoints after the first");
+    assert_eq!(counter(&d, "checkpoints"), in_file);
+    assert_eq!(counter(&d, "errors"), 3, "every refused compaction is reported");
+    drop(d);
+    let (_, report) = Dfms::recover(&path, LABEL, config, || dfms(4, 7)).unwrap();
+    assert_eq!(report.replay.unwrap().divergences, 0);
+    let _ = std::fs::remove_file(&path);
 }
 
 // ----------------------------------------------------------------------
