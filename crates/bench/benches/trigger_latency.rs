@@ -53,7 +53,7 @@ fn bench_poll(c: &mut Criterion) {
             b.iter(|| {
                 // Fresh engine per iteration: the cursor must re-scan.
                 let mut engine = engine_with_triggers(triggers);
-                let firings = engine.poll(&grid, 0, None);
+                let firings = engine.poll(&grid, 0);
                 assert_eq!(firings.len(), events * triggers);
                 firings.len()
             });

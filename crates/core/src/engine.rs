@@ -111,7 +111,8 @@ pub struct Dfms {
     /// The first run submitted under each lineage (restarts add later
     /// runs to a lineage; the first stays).
     lineage_index: BTreeMap<String, RunId>,
-    pending_ops: BTreeMap<(RunId, usize), PendingOp>,
+    /// In-flight DGMS operations, each with the span that covers it.
+    pending_ops: BTreeMap<(RunId, usize), (PendingOp, SpanContext)>,
     provenance: ProvenanceStore,
     notifications: Vec<Notification>,
     obs: Obs,
@@ -145,19 +146,15 @@ pub struct Dfms {
 impl Dfms {
     /// A DfMS over a grid, with the given scheduler.
     ///
-    /// The engine owns the master [`Obs`] handle; clones are pushed into
-    /// the scheduler and the trigger engine so every layer records into
-    /// one shared flight recorder and metrics registry.
-    pub fn new(grid: DataGrid, mut scheduler: Scheduler) -> Self {
-        let obs = Obs::default();
-        scheduler.set_obs(obs.clone());
-        let mut triggers = TriggerEngine::new();
-        triggers.set_obs(obs.clone());
+    /// The engine owns its [`Obs`] by value. The scheduler and the
+    /// trigger engine do not record anything themselves: they hand their
+    /// results back, and the engine records them.
+    pub fn new(grid: DataGrid, scheduler: Scheduler) -> Self {
         Dfms {
             grid,
             scheduler,
             binding: BindingCache::new(BindingMode::Late),
-            triggers,
+            triggers: TriggerEngine::new(),
             catalog: VirtualDataCatalog::new(),
             queue: EventQueue::new(),
             runs: Vec::new(),
@@ -167,7 +164,7 @@ impl Dfms {
             pending_ops: BTreeMap::new(),
             provenance: ProvenanceStore::new(),
             notifications: Vec::new(),
-            obs,
+            obs: Obs::default(),
             ilm_jobs: Vec::new(),
             procedures: BTreeMap::new(),
             next_txn: 1,
@@ -261,20 +258,44 @@ impl Dfms {
         }
     }
 
-    /// The observability handle: flight recorder + metrics registry.
-    /// Clones share state with the engine, so a handle taken before a
-    /// run observes everything the run records.
+    /// The engine's observability state: flight recorder, metrics,
+    /// spans, time series, health and attribution. Read it here; it is
+    /// written by the engine itself. The `triggers/*` counters and the
+    /// `grid/transfers.{started,bytes}` totals are derived on read: they
+    /// appear in [`Dfms::metrics_snapshot`] and the scrape, not in
+    /// `obs().snapshot()`.
     pub fn obs(&self) -> &Obs {
         &self.obs
     }
 
-    /// A full metrics snapshot across every scope, with the `grid`
-    /// scope scraped live from the transfer model's lifetime totals.
+    /// Write access for this crate's front-ends (the threaded server
+    /// counts the requests it serves).
+    pub(crate) fn obs_mut(&mut self) -> &mut Obs {
+        &mut self.obs
+    }
+
+    /// A full metrics snapshot across every scope. Two scopes are read
+    /// live from the layer that keeps them rather than recorded twice:
+    /// `grid` from the transfer model's lifetime totals, and `triggers`
+    /// from [`TriggerEngine::stats`] (a trigger counter appears once it
+    /// has counted something).
     pub fn metrics_snapshot(&self) -> dgf_obs::MetricsSnapshot {
+        use dgf_obs::MetricValue::Counter;
         let mut snap = self.obs.snapshot();
         let totals = self.grid.transfer_model().totals();
-        snap.insert("grid", "transfers.started", dgf_obs::MetricValue::Counter(totals.started));
-        snap.insert("grid", "transfers.bytes", dgf_obs::MetricValue::Counter(totals.bytes));
+        snap.insert("grid", "transfers.started", Counter(totals.started));
+        snap.insert("grid", "transfers.bytes", Counter(totals.bytes));
+        let t = self.triggers.stats();
+        for (name, n) in [
+            ("events.seen", t.events_seen),
+            ("fired", t.fired),
+            ("suppressed.depth", t.suppressed_by_depth),
+            ("condition.errors", t.condition_errors),
+        ] {
+            if n > 0 {
+                snap.insert("triggers", name, Counter(n));
+            }
+        }
         snap
     }
 
@@ -370,7 +391,7 @@ impl Dfms {
     /// stable-ordered and deterministic across identically-seeded runs.
     pub fn telemetry_scrape(&self) -> String {
         let snap = self.metrics_snapshot();
-        dgf_obs::render_scrape(&snap, &self.obs.ts_store(), self.obs.now())
+        dgf_obs::render_scrape(&snap, self.obs.ts_store(), self.obs.now())
     }
 
     /// Cursor-read the flight recorder: events with `seq >= cursor`
@@ -740,7 +761,7 @@ impl Dfms {
             for (path, step) in specs {
                 if let Some(task) = abstract_task_from_spec(&step, run.vo.clone()) {
                     let key = format!("{}:{}", run.lineage, path);
-                    let _ = self.binding.resolve(&mut self.scheduler, &self.grid, &key, &task, None);
+                    let _ = self.resolve_binding(&key, &task, None);
                 }
             }
             self.obs.prof_exit(Phase::Schedule);
@@ -972,12 +993,13 @@ impl Dfms {
     fn evaluate_alerts(&mut self) {
         let now = self.now();
         for txn in self.obs.why_due_firings(now) {
-            let Some(alert) = self.obs.why_alert(&txn) else { continue };
-            let burn = alert.burn_ppm(now);
+            let Some((burn, class)) = self.obs.why_alert(&txn).map(|a| (a.burn_ppm(now), a.class.clone())) else {
+                continue;
+            };
             self.obs.inc("engine", "sla.firings");
             self.obs.record(ObsKind::SlaAlert {
                 txn: txn.clone(),
-                class: alert.class.clone(),
+                class,
                 state: dgf_dgl::AlertState::Firing,
                 burn_ppm: burn,
             });
@@ -1826,10 +1848,10 @@ impl Dfms {
         };
         let node_span = self.run_ref(run_id).node(node_id).span;
         // BEFORE triggers observe the intent.
-        let before_firings = self.triggers.before_op(&self.grid, &op, &user, now, depth, node_span);
-        self.handle_firings(before_firings);
+        let before_firings = self.triggers.before_op(&self.grid, &op, &user, now, depth);
+        self.handle_firings(before_firings, node_span);
         match self.grid.begin(&user, op, now) {
-            Ok(mut pending) => {
+            Ok(pending) => {
                 let duration = pending.duration;
                 let ctx = self.obs.span_start(SpanKind::DgmsOp, pending.op.verb(), node_span);
                 self.obs.span_attr(ctx, "path", &pending.op.path().to_string());
@@ -1851,10 +1873,9 @@ impl Dfms {
                     }
                     _ => {}
                 }
-                pending.ctx = Some(ctx);
                 self.obs.add("engine", "bytes.moved", pending.bytes_moved);
                 self.obs.inc("engine", "dgms.ops");
-                self.pending_ops.insert((run_id, node_id.0), pending);
+                self.pending_ops.insert((run_id, node_id.0), (pending, ctx));
                 self.queue.schedule_in(duration, Work::OpDone { run: run_id, node: node_id });
             }
             Err(e) => self.step_failed(run_id, node_id, e.to_string()),
@@ -1863,26 +1884,21 @@ impl Dfms {
 
     fn op_done(&mut self, run_id: RunId, node_id: NodeId) {
         let now = self.now();
-        let Some(pending) = self.pending_ops.remove(&(run_id, node_id.0)) else {
+        let Some((pending, op_span)) = self.pending_ops.remove(&(run_id, node_id.0)) else {
             return; // stopped runs may have had their pendings dropped
         };
-        let op_span = pending.ctx;
         if self.run_ref(run_id).stop_requested {
-            if let Some(ctx) = op_span {
-                self.obs.span_attr(ctx, "aborted", "stop requested");
-                self.obs.span_end_at(ctx, now);
-            }
+            self.obs.span_attr(op_span, "aborted", "stop requested");
+            self.obs.span_end_at(op_span, now);
             self.grid.abort(pending);
             return;
         }
         let was_verify = matches!(pending.op, Operation::Checksum { register: false, .. });
         match self.grid.complete(pending, now) {
             Ok(events) => {
-                if let Some(ctx) = op_span {
-                    self.obs.span_end_at(ctx, now);
-                }
+                self.obs.span_end_at(op_span, now);
                 let mismatch = events.iter().any(|e| e.kind == EventKind::ChecksumMismatch);
-                self.after_events(&events, run_id, op_span);
+                self.after_events(&events, run_id, Some(op_span));
                 if was_verify && mismatch {
                     let detail = events
                         .iter()
@@ -1896,10 +1912,8 @@ impl Dfms {
                 }
             }
             Err(e) => {
-                if let Some(ctx) = op_span {
-                    self.obs.span_attr(ctx, "error", &e.to_string());
-                    self.obs.span_end_at(ctx, now);
-                }
+                self.obs.span_attr(op_span, "error", &e.to_string());
+                self.obs.span_end_at(op_span, now);
                 self.step_failed(run_id, node_id, e.to_string());
             }
         }
@@ -1911,12 +1925,14 @@ impl Dfms {
     fn after_events(&mut self, _events: &[NamespaceEvent], run_id: RunId, cause: Option<SpanContext>) {
         let depth = self.run_ref(run_id).options.trigger_depth;
         self.obs.prof_enter(Phase::TriggerEval);
-        let firings = self.triggers.poll(&self.grid, depth, cause);
-        self.handle_firings(firings);
+        let firings = self.triggers.poll(&self.grid, depth);
+        self.handle_firings(firings, cause);
         self.obs.prof_exit(Phase::TriggerEval);
     }
 
-    fn handle_firings(&mut self, firings: Vec<Firing>) {
+    /// Run matched triggers' actions. `cause` is the span of the
+    /// activity whose event matched; each action span parents under it.
+    fn handle_firings(&mut self, firings: Vec<Firing>, cause: Option<SpanContext>) {
         for firing in firings {
             let action_name = match &firing.action {
                 TriggerAction::Notify(_) => "notify",
@@ -1936,7 +1952,7 @@ impl Dfms {
             // The action span parents under the span of the activity that
             // emitted the matched event, chaining the firing back to its
             // causing flow.
-            let span = self.obs.span_start(SpanKind::TriggerAction, &firing.trigger, firing.ctx);
+            let span = self.obs.span_start(SpanKind::TriggerAction, &firing.trigger, cause);
             self.obs.span_attr(span, "action", action_name);
             self.obs.span_attr(span, "event", &firing.event.kind.to_string());
             match firing.action {
@@ -1983,6 +1999,34 @@ impl Dfms {
     // ------------------------------------------------------------------
     // Business-logic execution (scheduler + virtual data)
     // ------------------------------------------------------------------
+
+    /// Resolve a task's placement through the binding cache and record
+    /// what the scheduler did: `scheduler/binding.{plans,replays}`,
+    /// `plans.{ok,failed}` and the `plan.stage_in` histogram, plus a
+    /// `binding` attribute (`plan` or `replay`) on `span` when given.
+    fn resolve_binding(
+        &mut self,
+        key: &str,
+        task: &AbstractTask,
+        span: Option<SpanContext>,
+    ) -> Result<dgf_scheduler::Placement, dgf_scheduler::PlannerError> {
+        let resolved = self.binding.resolve(&mut self.scheduler, &self.grid, key, task);
+        let replayed = matches!(resolved, Ok((_, true)));
+        let which = if replayed { "replay" } else { "plan" };
+        self.obs.inc("scheduler", &format!("binding.{which}s"));
+        if let Some(span) = span {
+            self.obs.span_attr(span, "binding", which);
+        }
+        match &resolved {
+            Ok((_, true)) => {}
+            Ok((p, false)) => {
+                self.obs.inc("scheduler", "plans.ok");
+                self.obs.observe("scheduler", "plan.stage_in", p.estimate.stage_in);
+            }
+            Err(_) => self.obs.inc("scheduler", "plans.failed"),
+        }
+        resolved.map(|(p, _)| p)
+    }
 
     fn start_execute(&mut self, run_id: RunId, node_id: NodeId) {
         let now = self.now();
@@ -2053,7 +2097,7 @@ impl Dfms {
         let bind_span = self.obs.span_start(SpanKind::SchedulerBinding, &task.code, node_span);
         let binding_key = format!("{lineage}:{path_id}");
         self.obs.prof_enter(Phase::Schedule);
-        let resolved = self.binding.resolve(&mut self.scheduler, &self.grid, &binding_key, &task, Some(bind_span));
+        let resolved = self.resolve_binding(&binding_key, &task, Some(bind_span));
         self.obs.prof_exit(Phase::Schedule);
         let placement =
             match resolved {
@@ -2151,7 +2195,7 @@ impl Dfms {
                 });
             }
             // Transfers run sequentially: each span starts where the
-            // previous one ended, ahead of the shared clock.
+            // previous one ended, ahead of the recorder's clock.
             let t_span =
                 self.obs.span_start_at(now + stage_total, SpanKind::NetworkTransfer, "stage-in", node_span);
             self.obs.span_attr(t_span, "path", &plan.path.to_string());
@@ -2555,7 +2599,7 @@ impl Dfms {
                     recovery::transition("alert")
                         .with_attr("txn", &txn)
                         .with_attr("state", "resolved")
-                        .with_attr("breached", if breached { "true" } else { "false" })
+                        .with_attr("breached", breached.to_string())
                         .with_attr("burnPpm", burn.to_string()),
                 ) {
                     self.obs.why_resolve_alert(&txn, finished, breached);
@@ -2878,15 +2922,68 @@ impl Dfms {
         factory: impl FnOnce() -> Dfms,
     ) -> Result<(Dfms, dgf_dgl::RecoveryReport), DfmsError> {
         let (journal, records, open) = Journal::open(path, config.sync)?;
+        let (mut engine, replayed) =
+            Self::replay_journal(factory, "recovery", records, label, Some(journal), config, None)?;
+        if let Some((replay, commands_replayed)) = replayed {
+            // Verify re-derived transitions against the journaled ones.
+            // The ordinal `n` aligns them across compactions (compaction
+            // drops old transitions, never renumbers the survivors).
+            let divergences = replay
+                .expected
+                .iter()
+                .filter(|(n, xml)| {
+                    usize::try_from(*n).ok().and_then(|i| replay.derived.get(i)).map(String::as_str) != Some(xml)
+                })
+                .count() as u64;
+            engine.last_replay = Some(dgf_dgl::ReplayStats {
+                truncated_bytes: open.truncated_bytes,
+                commands_replayed,
+                records_matched: replay.expected.len() as u64 - divergences,
+                divergences,
+                steps_skipped_restart: replay.skips,
+            });
+            // Every `provenance` transition survives compaction, so those
+            // derived past the newest ordinal in the file are exactly the
+            // ones the crash cut off the tail.
+            let journaled = replay.expected.last().map_or(0, |(n, _)| n.saturating_add(1));
+            engine.rejournal_provenance(&replay.derived, journaled);
+            // Checkpoint the recovered engine's live runs (and compact
+            // the journal behind it when configured).
+            engine.checkpoint()?;
+        }
+        let report = engine.recovery_query();
+        Ok((engine, report))
+    }
+
+    /// The replay driver behind [`Dfms::recover`] and
+    /// [`Dfms::recover_to`]: build the engine with `factory` (which must
+    /// not attach a journal; `caller` names the entry point in that
+    /// error), then re-apply the journaled commands in `records`.
+    ///
+    /// `journal` is the journal opened for writing that recovery goes on
+    /// appending to, or `None` for a read-only replay. `limit` halts the
+    /// replay after that since-genesis transition ordinal. Returns the
+    /// engine, its journal state still attached, with the finished
+    /// [`ReplayState`] and the number of commands applied. An empty
+    /// journal has nothing to replay: a writable one is attached as-is.
+    pub(crate) fn replay_journal(
+        factory: impl FnOnce() -> Dfms,
+        caller: &str,
+        records: Vec<dgf_journal::Record>,
+        label: &str,
+        journal: Option<Journal>,
+        config: JournalConfig,
+        limit: Option<u64>,
+    ) -> Result<(Dfms, Option<(ReplayState, u64)>), DfmsError> {
         let mut engine = factory();
         if engine.journal.is_some() {
-            return Err(DfmsError::Recovery("the recovery factory must build an unjournaled engine".into()));
+            return Err(DfmsError::Recovery(format!("the {caller} factory must build an unjournaled engine")));
         }
         if records.is_empty() {
-            // Nothing journaled yet: recovery degenerates to attach.
-            engine.journal = Some(EngineJournal::create(journal, label, config)?);
-            let report = engine.recovery_query();
-            return Ok((engine, report));
+            if let Some(journal) = journal {
+                engine.journal = Some(EngineJournal::create(journal, label, config)?);
+            }
+            return Ok((engine, None));
         }
         recovery::check_genesis(&records, label)?;
         // Partition the journal: commands are the replay script,
@@ -2898,43 +2995,16 @@ impl Dfms {
             "journal transition ordinals are not strictly increasing — compaction renumbered?"
         );
         engine.journal = Some(EngineJournal {
-            journal: Some(journal),
+            journal,
             config,
             label: label.to_owned(),
             commands_since_checkpoint: 0,
             transitions_written: 0,
-            replay: Some(ReplayState::new(memo, expected, None)),
+            replay: Some(ReplayState::new(memo, expected, limit)),
         });
-        engine.drive_replay(&commands);
-        // Verify re-derived transitions against the journaled ones. The
-        // ordinal `n` aligns them across compactions (compaction drops
-        // old transitions, never renumbers the survivors).
+        let applied = engine.drive_replay(&commands);
         let replay = engine.take_replay().expect("installed above");
-        let divergences = replay
-            .expected
-            .iter()
-            .filter(|(n, xml)| {
-                usize::try_from(*n).ok().and_then(|i| replay.derived.get(i)).map(String::as_str) != Some(xml)
-            })
-            .count() as u64;
-        let stats = dgf_dgl::ReplayStats {
-            truncated_bytes: open.truncated_bytes,
-            commands_replayed: commands.len() as u64,
-            records_matched: replay.expected.len() as u64 - divergences,
-            divergences,
-            steps_skipped_restart: replay.skips,
-        };
-        engine.last_replay = Some(stats);
-        // Every `provenance` transition survives compaction, so those
-        // derived past the newest ordinal in the file are exactly the
-        // ones the crash cut off the tail.
-        let journaled = replay.expected.last().map_or(0, |(n, _)| n.saturating_add(1));
-        engine.rejournal_provenance(&replay.derived, journaled);
-        // Checkpoint the recovered engine's live runs (and compact the
-        // journal behind it when configured).
-        engine.checkpoint()?;
-        let report = engine.recovery_query();
-        Ok((engine, report))
+        Ok((engine, Some((replay, applied))))
     }
 
     /// Append the `provenance` transitions among `derived[from..]` —
@@ -2959,10 +3029,9 @@ impl Dfms {
 
     /// Drive the replay script: re-apply journaled commands in order,
     /// stopping early if a time-travel ordinal limit halts the replay
-    /// mid-script. Shared by [`Dfms::recover`] (no limit — the halt
-    /// never fires) and [`Dfms::recover_to`]. Returns the number of
-    /// commands applied before the halt.
-    pub(crate) fn drive_replay(&mut self, commands: &[Element]) -> u64 {
+    /// mid-script (without a limit the halt never fires). Returns the
+    /// number of commands applied before the halt.
+    fn drive_replay(&mut self, commands: &[Element]) -> u64 {
         let mut applied = 0;
         for cmd in commands {
             if self.replay_halted() {
@@ -2977,7 +3046,7 @@ impl Dfms {
     /// Finish a replay: detach the [`ReplayState`] and reset the
     /// since-genesis transition counter to the *re-derived* count (not
     /// the record count the compacted file retains).
-    pub(crate) fn take_replay(&mut self) -> Option<ReplayState> {
+    fn take_replay(&mut self) -> Option<ReplayState> {
         let j = self.journal.as_mut()?;
         let replay = j.replay.take()?;
         j.transitions_written = replay.derived.len() as u64;

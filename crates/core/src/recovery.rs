@@ -352,7 +352,7 @@ pub(crate) fn failure_element(event: &FailureEvent) -> Element {
     command("failure")
         .with_attr("target", target)
         .with_attr("id", id.to_string())
-        .with_attr("online", if online { "true" } else { "false" })
+        .with_attr("online", online.to_string())
 }
 
 /// Decode a failure-injection command body.

@@ -190,7 +190,7 @@ impl DfmsServer {
                                     dequeued.duration_since(enqueued_at).as_nanos() as u64,
                                     locked.duration_since(dequeued).as_nanos() as u64,
                                 );
-                                engine.obs().inc("server", "requests.served");
+                                engine.obs_mut().inc("server", "requests.served");
                                 let response = engine.handle_xml(&xml);
                                 worker_stats.record_hold(locked.elapsed().as_nanos() as u64);
                                 response

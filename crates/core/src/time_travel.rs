@@ -16,7 +16,7 @@
 use crate::engine::Dfms;
 use crate::error::DfmsError;
 use crate::provenance::ProvenanceRecord;
-use crate::recovery::{self, EngineJournal, JournalConfig, ReplayState};
+use crate::recovery::JournalConfig;
 use dgf_dgl::{
     BisectSpec, BisectSummary, DiffSummary, FlowDelta, OrdinalSummary, RunState, TimeTravelOp,
     TimeTravelQuery, TimeTravelReport,
@@ -363,45 +363,19 @@ impl Dfms {
         factory: impl FnOnce() -> Dfms,
     ) -> Result<Materialized, DfmsError> {
         let (records, _open) = Journal::read(path)?;
-        let mut engine = factory();
-        if engine.journal.is_some() {
-            return Err(DfmsError::Recovery(
-                "the time-travel factory must build an unjournaled engine".into(),
-            ));
-        }
-        if records.is_empty() {
-            return Ok(Materialized {
-                engine,
-                ordinal: None,
-                requested: ordinal,
-                complete: true,
-                commands_applied: 0,
-                transitions_derived: 0,
-            });
-        }
-        recovery::check_genesis(&records, label)?;
-        let (commands, expected, memo) = recovery::partition(records);
-        debug_assert!(
-            recovery::ordinals_aligned(&expected),
-            "journal transition ordinals are not strictly increasing — compaction renumbered?"
-        );
-        engine.journal = Some(EngineJournal {
-            journal: None,
-            config: JournalConfig { checkpoint_every: 0, compact_on_checkpoint: false, ..JournalConfig::default() },
-            label: label.to_owned(),
-            commands_since_checkpoint: 0,
-            transitions_written: 0,
-            replay: Some(ReplayState::new(memo, expected, ordinal)),
-        });
-        let commands_applied = engine.drive_replay(&commands);
-        let replay = engine.take_replay().expect("installed above");
+        let read_only = JournalConfig { checkpoint_every: 0, compact_on_checkpoint: false, ..JournalConfig::default() };
+        let (mut engine, replayed) =
+            Dfms::replay_journal(factory, "time-travel", records, label, None, read_only, ordinal)?;
         engine.journal = None;
-        let transitions_derived = replay.derived.len() as u64;
+        let (transitions_derived, complete, commands_applied) = match replayed {
+            Some((replay, applied)) => (replay.derived.len() as u64, !replay.past_limit, applied),
+            None => (0, true, 0),
+        };
         Ok(Materialized {
             engine,
             ordinal: transitions_derived.checked_sub(1),
             requested: ordinal,
-            complete: !replay.past_limit,
+            complete,
             commands_applied,
             transitions_derived,
         })
@@ -445,7 +419,7 @@ impl Dfms {
         }
         if let Some(journal) = self.journal.as_mut().and_then(|j| j.journal.as_mut()) {
             if journal.sync().is_err() {
-                self.obs().inc("journal", "errors");
+                self.obs_mut().inc("journal", "errors");
             }
         }
         let travel = self.time_travel.as_ref().expect("checked above");

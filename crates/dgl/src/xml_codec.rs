@@ -274,7 +274,7 @@ impl FlowLogic {
             ControlPattern::ForEach { var, source, parallel } => {
                 let mut fe = Element::new("forEach")
                     .with_attr("var", var)
-                    .with_attr("parallel", if *parallel { "true" } else { "false" });
+                    .with_attr("parallel", parallel.to_string());
                 match source {
                     IterSource::Items(items) => {
                         let mut list = Element::new("items");
@@ -487,7 +487,7 @@ impl DglOperation {
             DglOperation::Checksum { path, resource, register } => {
                 let mut el = Element::new("checksum")
                     .with_attr("path", path)
-                    .with_attr("register", if *register { "true" } else { "false" });
+                    .with_attr("register", register.to_string());
                 if let Some(r) = resource {
                     el.set_attr("resource", r);
                 }
@@ -692,7 +692,7 @@ impl crate::ValidationReport {
     pub fn to_element(&self) -> Element {
         let mut el = Element::new("validationReport")
             .with_attr("flow", &self.flow)
-            .with_attr("valid", if self.valid { "true" } else { "false" });
+            .with_attr("valid", self.valid.to_string());
         for d in &self.diagnostics {
             let mut de = Element::new("diagnostic")
                 .with_attr("code", &d.code)
@@ -752,7 +752,7 @@ impl crate::RecoveryReport {
     pub fn to_element(&self) -> Element {
         let mut el = Element::new("recoveryReport")
             .with_attr("time", self.time_us.to_string())
-            .with_attr("journaled", if self.journaled { "true" } else { "false" })
+            .with_attr("journaled", self.journaled.to_string())
             .with_attr("records", self.journal_records.to_string())
             .with_attr("bytes", self.journal_bytes.to_string());
         if let Some(ck) = self.last_checkpoint_seq {
@@ -857,13 +857,13 @@ impl crate::FederationReport {
     pub fn to_element(&self) -> Element {
         let mut el = Element::new("federationReport")
             .with_attr("time", self.time_us.to_string())
-            .with_attr("federated", if self.federated { "true" } else { "false" });
+            .with_attr("federated", self.federated.to_string());
         for s in &self.shards {
             let mut se = Element::new("shard")
                 .with_attr("name", &s.name)
                 .with_attr("flows", s.flows.to_string())
                 .with_attr("time", s.time_us.to_string())
-                .with_attr("journaled", if s.journaled { "true" } else { "false" })
+                .with_attr("journaled", s.journaled.to_string())
                 .with_attr("sent", s.bus_sent.to_string())
                 .with_attr("received", s.bus_received.to_string());
             for p in &s.prefixes {
@@ -897,7 +897,7 @@ impl crate::FederationReport {
                     .with_attr("name", &fl.name)
                     .with_attr("user", &fl.user)
                     .with_attr("home", &fl.home)
-                    .with_attr("parallel", if fl.parallel { "true" } else { "false" })
+                    .with_attr("parallel", fl.parallel.to_string())
                     .with_attr("state", fl.state.as_str())
                     .with_attr("subsCompleted", fl.subs_completed.to_string())
                     .with_attr("subsTotal", fl.subs_total.to_string()),
@@ -1056,13 +1056,13 @@ impl crate::TimeTravelReport {
     pub fn to_element(&self) -> Element {
         let mut el = Element::new("timeTravelReport")
             .with_attr("time", self.time_us.to_string())
-            .with_attr("enabled", if self.enabled { "true" } else { "false" });
+            .with_attr("enabled", self.enabled.to_string());
         if let Some(last) = self.last_ordinal {
             el.set_attr("lastOrdinal", last.to_string());
         }
         if let Some(i) = &self.inspect {
             let mut ie = Element::new("inspect")
-                .with_attr("complete", if i.complete { "true" } else { "false" })
+                .with_attr("complete", i.complete.to_string())
                 .with_attr("commandsApplied", i.commands_applied.to_string())
                 .with_attr("transitionsDerived", i.transitions_derived.to_string())
                 .with_attr("clock", i.time_us.to_string());
@@ -1381,7 +1381,7 @@ impl crate::WhyReport {
                 .with_attr("deadlineUs", a.deadline_us.to_string())
                 .with_attr("state", a.state.name())
                 .with_attr("burnPpm", a.burn_ppm.to_string())
-                .with_attr("breached", if a.breached { "true" } else { "false" });
+                .with_attr("breached", a.breached.to_string());
             if let Some(t) = a.fired_at_us {
                 ae.set_attr("firedAtUs", t.to_string());
             }
@@ -1485,7 +1485,7 @@ impl DataGridResponse {
                 let mut a = Element::new("requestAcknowledgement")
                     .with_attr("transaction", &ack.transaction)
                     .with_attr("state", ack.state.as_str())
-                    .with_attr("valid", if ack.valid { "true" } else { "false" });
+                    .with_attr("valid", ack.valid.to_string());
                 if let Some(msg) = &ack.message {
                     a.push_element(Element::new("message").with_text(msg));
                 }

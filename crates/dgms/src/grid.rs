@@ -138,7 +138,6 @@ impl DataGrid {
                     duration,
                     bytes_moved: *size,
                     effect: PlannedEffect::Ingest { storage, seed },
-                    ctx: None,
                     transfer: None,
                     reserved: Some((storage, *size)),
                     op,
@@ -157,7 +156,6 @@ impl DataGrid {
                     duration,
                     bytes_moved: size,
                     effect: PlannedEffect::AddReplica { src: src_id, dst: dst_id, migrate_from: None },
-                    ctx: None,
                     transfer: Some(handle),
                     reserved: Some((dst_id, size)),
                     op,
@@ -176,7 +174,6 @@ impl DataGrid {
                     duration: duration + METADATA_LATENCY,
                     bytes_moved: size,
                     effect: PlannedEffect::AddReplica { src: src_id, dst: dst_id, migrate_from: Some(src_id) },
-                    ctx: None,
                     transfer: Some(handle),
                     reserved: Some((dst_id, size)),
                     op,
@@ -238,7 +235,6 @@ impl DataGrid {
                     duration,
                     bytes_moved: obj.size,
                     effect: PlannedEffect::Checksum { storage, digest, register: *register },
-                    ctx: None,
                     transfer: None,
                     reserved: None,
                     op,
@@ -616,7 +612,6 @@ impl DataGrid {
             duration: METADATA_LATENCY,
             bytes_moved: 0,
             effect,
-            ctx: None,
             transfer: None,
             reserved: None,
         }

@@ -123,9 +123,6 @@ pub struct PendingOp {
     pub duration: Duration,
     /// Bytes moved across storage/network by this operation.
     pub bytes_moved: u64,
-    /// The tracing span covering this operation, when the caller opened
-    /// one; carried through so completion can close it at commit time.
-    pub ctx: Option<dgf_obs::SpanContext>,
     pub(crate) effect: PlannedEffect,
     pub(crate) transfer: Option<TransferHandle>,
     /// Space reserved at begin time, to release on abort.

@@ -216,7 +216,9 @@ impl Fabric {
 
     /// The fabric's own observability plane: cross-shard flow and
     /// hand-off spans, bus counters. Distinct from every per-shard
-    /// engine recorder, and rebuilt from the bus WALs on recovery.
+    /// engine recorder, and rebuilt from the bus WALs on recovery. Routes
+    /// are not in the bus WALs, so `fabric/requests.routed` counts only
+    /// the routes this process made.
     pub fn obs(&self) -> &Obs {
         &self.obs
     }
@@ -458,15 +460,11 @@ impl Fabric {
             .with_attr("request", &request.id)
             .with_attr("user", &request.user)
             .with_attr("home", &home)
-            .with_attr("parallel", if parallel { "true" } else { "false" })
+            .with_attr("parallel", parallel.to_string())
             .with_attr("vt", vt.to_string())
             .with_child(flow.to_element());
         self.append_bus(&home, open)?;
 
-        let span = self.obs.span_start_at(SimTime(vt), SpanKind::Flow, &flow.name, None);
-        self.obs.span_attr(span, "txn", &txn);
-        self.obs.span_attr(span, "home", &home);
-        self.obs.span_attr(span, "user", &request.user);
         let run = FederatedRun {
             name: flow.name.clone(),
             user: request.user.clone(),
@@ -492,11 +490,9 @@ impl Fabric {
                 })
                 .collect(),
             completed_logged: false,
-            span: Some(span),
+            span: None,
         };
-        self.note_txn_home(txn.clone(), &home);
-        self.fed.insert(txn.clone(), run);
-        self.obs.inc("fabric", "federated.submitted");
+        self.open_run(txn.clone(), run, vt);
 
         if parallel {
             for i in 0..subs.len() {
@@ -558,13 +554,59 @@ impl Fabric {
     fn publish(&mut self, env: BusEnvelope) -> Result<(), FabricError> {
         let from = env.from.clone();
         self.append_bus(&from, env.to_frame("send"))?;
-        if let Some(shard) = self.shards.get_mut(&from) {
+        self.note_published(&from);
+        self.in_flight.insert((env.vt, env.seq), env);
+        Ok(())
+    }
+
+    // ------------------------------------------------------------------
+    // Bus and federation facts: one writer each, shared by the live
+    // path and by recovery's rebuild, so the fields, the federation
+    // report and the `fabric/*` counters can never disagree.
+    // ------------------------------------------------------------------
+
+    /// An envelope from `from` was published on the bus.
+    fn note_published(&mut self, from: &str) {
+        if let Some(shard) = self.shards.get_mut(from) {
             shard.sent += 1;
         }
         self.published += 1;
         self.obs.inc("fabric", "bus.published");
-        self.in_flight.insert((env.vt, env.seq), env);
-        Ok(())
+    }
+
+    /// An envelope to `to` was delivered and applied.
+    fn note_delivered(&mut self, to: &str) {
+        self.delivered += 1;
+        if let Some(shard) = self.shards.get_mut(to) {
+            shard.received += 1;
+        }
+        self.obs.inc("fabric", "bus.delivered");
+    }
+
+    /// Federated run `txn` opened at `vt`: open its parent span and
+    /// track it.
+    fn open_run(&mut self, txn: String, mut run: FederatedRun, vt: u64) {
+        let span = self.obs.span_start_at(SimTime(vt), SpanKind::Flow, &run.name, None);
+        self.obs.span_attr(span, "txn", &txn);
+        self.obs.span_attr(span, "home", &run.home);
+        self.obs.span_attr(span, "user", &run.user);
+        run.span = Some(span);
+        self.note_txn_home(txn.clone(), &run.home);
+        self.fed.insert(txn, run);
+        self.obs.inc("fabric", "federated.submitted");
+    }
+
+    /// Federated run `txn` settled in `state` at `vt`: close its parent
+    /// span. Unknown runs are ignored.
+    fn settle(&mut self, txn: &str, state: RunState, vt: u64) {
+        let Some(run) = self.fed.get_mut(txn) else { return };
+        run.state = state;
+        run.completed_logged = true;
+        if let Some(span) = run.span {
+            self.obs.span_attr(span, "state", state.as_str());
+            self.obs.span_end_at(span, SimTime(vt));
+        }
+        self.obs.inc("fabric", "federated.settled");
     }
 
     // ------------------------------------------------------------------
@@ -690,11 +732,7 @@ impl Fabric {
         }
         self.in_flight.remove(&key);
         self.apply(env)?;
-        self.delivered += 1;
-        if let Some(shard) = self.shards.get_mut(&to) {
-            shard.received += 1;
-        }
-        self.obs.inc("fabric", "bus.delivered");
+        self.note_delivered(&to);
         Ok(())
     }
 
@@ -854,14 +892,14 @@ impl Fabric {
     /// Settle a federated run: journal the `complete` frame in the
     /// home bus WAL and close the parent span.
     fn finalize(&mut self, txn: &str) -> Result<(), FabricError> {
-        let (home, state, already, span) = {
+        let (home, state, already) = {
             let run = self.fed.get(txn).expect("finalizing a known run");
             let state = if run.subs.iter().all(|s| s.state == RunState::Completed) {
                 RunState::Completed
             } else {
                 RunState::Failed
             };
-            (run.home.clone(), state, run.completed_logged, run.span)
+            (run.home.clone(), state, run.completed_logged)
         };
         if already {
             return Ok(());
@@ -875,14 +913,7 @@ impl Fabric {
                 .with_attr("state", state.as_str())
                 .with_attr("vt", vt.to_string()),
         )?;
-        let run = self.fed.get_mut(txn).expect("finalizing a known run");
-        run.state = state;
-        run.completed_logged = true;
-        if let Some(span) = span {
-            self.obs.span_attr(span, "state", state.as_str());
-            self.obs.span_end_at(span, SimTime(vt));
-        }
-        self.obs.inc("fabric", "federated.settled");
+        self.settle(txn, state, vt);
         Ok(())
     }
 
@@ -1121,11 +1152,8 @@ impl Fabric {
         // delivered; anything else goes back in flight with its
         // original sequence number.
         for ((vt, seq), env) in sends {
-            self.published += 1;
+            self.note_published(&env.from);
             self.bus_seq = self.bus_seq.max(seq + 1);
-            if let Some(shard) = self.shards.get_mut(&env.from) {
-                shard.sent += 1;
-            }
             let frame_received = recvs.contains_key(&seq);
             match &env.payload {
                 BusPayload::Delegate { origin, node, user: _, flow: _ } => {
@@ -1156,10 +1184,7 @@ impl Fabric {
                     match (frame_received, child) {
                         (true, Some(child)) => {
                             // Fully applied.
-                            self.delivered += 1;
-                            if let Some(shard) = self.shards.get_mut(&env.to) {
-                                shard.received += 1;
-                            }
+                            self.note_delivered(&env.to);
                             self.note_txn_home(child.clone(), &env.to);
                             let origin = origin.clone();
                             let node = node.clone();
@@ -1187,10 +1212,7 @@ impl Fabric {
                         }
                     }
                     if frame_received {
-                        self.delivered += 1;
-                        if let Some(shard) = self.shards.get_mut(&env.to) {
-                            shard.received += 1;
-                        }
+                        self.note_delivered(&env.to);
                         if !child_txn.is_empty() {
                             self.note_txn_home(child_txn.clone(), &env.from);
                         }
@@ -1224,16 +1246,7 @@ impl Fabric {
 
         // Pass 3: settle runs with journaled completions.
         for (txn, (state, vt)) in completes {
-            let mut span_to_close = None;
-            if let Some(run) = self.fed.get_mut(&txn) {
-                run.state = state;
-                run.completed_logged = true;
-                span_to_close = run.span;
-            }
-            if let Some(span) = span_to_close {
-                self.obs.span_attr(span, "state", state.as_str());
-                self.obs.span_end_at(span, SimTime(vt));
-            }
+            self.settle(&txn, state, vt);
         }
         self.deliveries = self.delivered;
         self.obs.set_now(SimTime(self.max_vt()));
@@ -1266,10 +1279,6 @@ impl Fabric {
                 Some(path) => owners.push(Some(self.owner_of(&path)?)),
             }
         }
-        let span = self.obs.span_start_at(SimTime(vt), SpanKind::Flow, &flow.name, None);
-        self.obs.span_attr(span, "txn", &txn);
-        self.obs.span_attr(span, "home", home);
-        self.obs.span_attr(span, "user", &user);
         let run = FederatedRun {
             name: flow.name.clone(),
             user,
@@ -1295,13 +1304,12 @@ impl Fabric {
                 })
                 .collect(),
             completed_logged: false,
-            span: Some(span),
+            span: None,
         };
         if let Some(n) = txn.strip_prefix('x').and_then(|n| n.parse::<u64>().ok()) {
             self.fed_counter = self.fed_counter.max(n);
         }
-        self.note_txn_home(txn.clone(), home);
-        self.fed.insert(txn, run);
+        self.open_run(txn, run, vt);
         Ok(())
     }
 
@@ -1564,6 +1572,17 @@ mod tests {
         }
     }
 
+    /// The four `fabric/*` bus and federation counters, checked against
+    /// the bus position the federation report derives from its fields.
+    fn fabric_counters(fabric: &Fabric) -> [u64; 4] {
+        let snap = fabric.obs().snapshot();
+        let counters = ["bus.published", "bus.delivered", "federated.submitted", "federated.settled"]
+            .map(|name| snap.counter("fabric", name));
+        let bus = fabric.federation_report(&FederationQuery::report()).bus;
+        assert_eq!([counters[0], counters[1]], [bus.published, bus.delivered], "counters match the report");
+        counters
+    }
+
     #[test]
     fn a_journaled_federation_recovers_mid_flight_and_finishes() {
         let dir = temp_dir("midflight");
@@ -1586,6 +1605,8 @@ mod tests {
             .unwrap();
         let txn = resp.transaction().to_owned();
         reference.pump().unwrap();
+        let want_counters = fabric_counters(&reference);
+        assert_eq!(want_counters, [4, 4, 1, 1]);
         let want_status = reference.federated_status(&txn).to_string();
         let want_alpha = reference.engine("alpha").unwrap().provenance().snapshot();
         let want_beta = reference.engine("beta").unwrap().provenance().snapshot();
@@ -1606,6 +1627,7 @@ mod tests {
         assert_eq!(revived.in_flight(), 1, "the undelivered delegate is back in flight");
         revived.pump().unwrap();
         assert_eq!(revived.federated_status(&txn).to_string(), want_status);
+        assert_eq!(fabric_counters(&revived), want_counters, "counters rebuilt after a mid-flight crash");
         assert_eq!(revived.engine("alpha").unwrap().provenance().snapshot(), want_alpha);
         assert_eq!(revived.engine("beta").unwrap().provenance().snapshot(), want_beta);
         let report = revived.federation_report(&FederationQuery::report());
@@ -1614,9 +1636,11 @@ mod tests {
 
         // A second recovery of the settled federation is a no-op.
         drop(revived);
-        let (settled, _) = Fabric::recover(&dir, "fed", config, SHARDS, factory).unwrap();
+        let (mut settled, _) = Fabric::recover(&dir, "fed", config, SHARDS, factory).unwrap();
         assert_eq!(settled.in_flight(), 0);
+        settled.pump().unwrap();
         assert_eq!(settled.federated_status(&txn).to_string(), want_status);
+        assert_eq!(fabric_counters(&settled), want_counters, "counters rebuilt for a settled federation");
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&ref_dir);
     }

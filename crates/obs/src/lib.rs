@@ -12,19 +12,22 @@
 //! * a **metrics registry** ([`MetricsRegistry`]): counters, gauges,
 //!   and sim-time histograms under per-subsystem and per-run scopes,
 //!   with plain-text and JSON exporters ([`MetricsSnapshot`]);
-//! * a cheap, clonable, thread-safe handle ([`Obs`]) that every
-//!   subsystem (engine, scheduler, triggers, server, network) holds to
-//!   write into one shared recorder + registry.
+//! * one plain value ([`Obs`]) holding the recorder, the registry and
+//!   the span, time-series, health, profile and attribution stores. The
+//!   engine (`dgf-dfms`) and the federation fabric (`dgf-fabric`) each
+//!   own one by value; the layers beneath them (scheduler, triggers,
+//!   DGMS) do not depend on this crate and hand their results back to
+//!   the engine, which records them.
 //!
-//! The engine advances the handle's notion of "now" ([`Obs::set_now`])
-//! once per dispatched work item; subsystems below the engine record
-//! events without threading a clock through their signatures.
+//! The owner advances the recorder's notion of "now" ([`Obs::set_now`])
+//! once per dispatched work item, so individual writes need not thread
+//! a clock through their signatures.
 //!
 //! ```
 //! use dgf_obs::{EventKind, Obs};
 //! use dgf_simgrid::SimTime;
 //!
-//! let obs = Obs::new(1024);
+//! let mut obs = Obs::new(1024);
 //! obs.set_now(SimTime(5));
 //! obs.record(EventKind::TriggerFired { trigger: "t".into(), action: "notify".into() });
 //! obs.inc("triggers", "fired");
@@ -67,10 +70,17 @@ pub use why::{critical_path, CriticalPath, PathSegment, SlaAlert, WaitMark};
 
 use dgf_dgl::{AlertState, WaitState, WhyBottleneck};
 use dgf_simgrid::{Duration, SimTime};
-use std::sync::{Arc, Mutex, MutexGuard};
 
+/// The observability state of one engine or fabric: flight recorder,
+/// metrics registry, spans, time series, health watchdog, phase
+/// profiler and attribution store.
+///
+/// A plain value with a single owner: writers take `&mut self`, and
+/// readers borrow (`spans`, `why_paths`, `ts_store`, ...) rather than
+/// copy. The threaded server front-end reads it through the engine lock
+/// it already holds.
 #[derive(Debug)]
-struct Inner {
+pub struct Obs {
     now: SimTime,
     recorder: FlightRecorder,
     metrics: MetricsRegistry,
@@ -81,37 +91,19 @@ struct Inner {
     why: why::WhyStore,
 }
 
-/// The shared observability handle: one flight recorder plus one
-/// metrics registry behind a mutex, cloned into every subsystem.
-///
-/// All writes are cheap (a lock, a push or a map update). The handle is
-/// `Send + Sync`; the threaded server front-end shares it with client
-/// threads safely. Lock poisoning is ignored — observability data is
-/// advisory and a panicking writer must not take readers down.
-#[derive(Debug, Clone)]
-pub struct Obs {
-    inner: Arc<Mutex<Inner>>,
-}
-
 impl Obs {
     /// A fresh recorder + registry; the ring retains `capacity` events.
     pub fn new(capacity: usize) -> Self {
         Obs {
-            inner: Arc::new(Mutex::new(Inner {
-                now: SimTime::ZERO,
-                recorder: FlightRecorder::new(capacity),
-                metrics: MetricsRegistry::new(),
-                traces: trace::TraceStore::default(),
-                timeseries: TimeSeriesStore::new(SamplingConfig::default()),
-                health: HealthMonitor::new(HealthConfig::default()),
-                prof: Profiler::new(),
-                why: why::WhyStore::default(),
-            })),
+            now: SimTime::ZERO,
+            recorder: FlightRecorder::new(capacity),
+            metrics: MetricsRegistry::new(),
+            traces: trace::TraceStore::default(),
+            timeseries: TimeSeriesStore::new(SamplingConfig::default()),
+            health: HealthMonitor::new(HealthConfig::default()),
+            prof: Profiler::new(),
+            why: why::WhyStore::default(),
         }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Advance the recorder's simulation clock. The engine calls this
@@ -122,78 +114,68 @@ impl Obs {
     /// ignored (the recorder keeps the later time), so a misordered
     /// caller can never make recordings non-replayable by stamping
     /// events before ones already recorded.
-    pub fn set_now(&self, now: SimTime) {
-        let mut inner = self.lock();
-        if now > inner.now {
-            inner.now = now;
+    pub fn set_now(&mut self, now: SimTime) {
+        if now > self.now {
+            self.now = now;
         }
     }
 
     /// The recorder's current simulation clock.
     pub fn now(&self) -> SimTime {
-        self.lock().now
+        self.now
     }
 
     /// Record an event stamped with the current simulation clock.
-    pub fn record(&self, kind: EventKind) {
-        let mut inner = self.lock();
-        let now = inner.now;
-        inner.recorder.record(now, kind);
-    }
-
-    /// Record an event at an explicit simulation time (the engine uses
-    /// this to stamp precisely even before `set_now` has caught up).
-    pub fn record_at(&self, time: SimTime, kind: EventKind) {
-        self.lock().recorder.record(time, kind);
+    pub fn record(&mut self, kind: EventKind) {
+        self.recorder.record(self.now, kind);
     }
 
     /// Increment the counter `scope/name` by one.
-    pub fn inc(&self, scope: &str, name: &str) {
-        self.lock().metrics.inc(scope, name);
+    pub fn inc(&mut self, scope: &str, name: &str) {
+        self.metrics.inc(scope, name);
     }
 
     /// Increment the counter `scope/name` by `n`.
-    pub fn add(&self, scope: &str, name: &str, n: u64) {
-        self.lock().metrics.add(scope, name, n);
+    pub fn add(&mut self, scope: &str, name: &str, n: u64) {
+        self.metrics.add(scope, name, n);
     }
 
     /// Set the gauge `scope/name`.
-    pub fn gauge_set(&self, scope: &str, name: &str, value: i64) {
-        self.lock().metrics.gauge_set(scope, name, value);
+    pub fn gauge_set(&mut self, scope: &str, name: &str, value: i64) {
+        self.metrics.gauge_set(scope, name, value);
     }
 
     /// Fold a duration into the histogram `scope/name`.
-    pub fn observe(&self, scope: &str, name: &str, d: Duration) {
-        self.lock().metrics.observe(scope, name, d);
+    pub fn observe(&mut self, scope: &str, name: &str, d: Duration) {
+        self.metrics.observe(scope, name, d);
     }
 
     /// All retained events, oldest first.
     pub fn events(&self) -> Vec<ObsEvent> {
-        self.lock().recorder.events()
+        self.recorder.events()
     }
 
     /// The `n` most recent retained events, oldest first.
     pub fn recent_events(&self, n: usize) -> Vec<ObsEvent> {
-        self.lock().recorder.recent(n)
+        self.recorder.recent(n)
     }
 
     /// Count of events ever recorded (including evicted ones).
     pub fn events_total(&self) -> u64 {
-        self.lock().recorder.total()
+        self.recorder.total()
     }
 
     /// Count of events evicted by the bounded ring.
     pub fn events_dropped(&self) -> u64 {
-        self.lock().recorder.dropped()
+        self.recorder.dropped()
     }
 
-    /// A point-in-time copy of every metric, including the per-span-kind
-    /// latency percentiles (`trace/span.<kind>.p{50,95,99}_us` gauges,
-    /// nearest-rank over completed spans' sim-time durations).
+    /// A point-in-time copy of every metric recorded here, including the
+    /// per-span-kind latency percentiles (`trace/span.<kind>.p{50,95,99}_us`
+    /// gauges, nearest-rank over completed spans' sim-time durations).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.lock();
-        let mut snap = inner.metrics.snapshot();
-        for (kind, durations) in inner.traces.durations() {
+        let mut snap = self.metrics.snapshot();
+        for (kind, durations) in self.traces.durations() {
             let mut sorted = durations.clone();
             sorted.sort_unstable();
             for (p, tag) in [(50.0, "p50_us"), (95.0, "p95_us"), (99.0, "p99_us")] {
@@ -215,7 +197,7 @@ impl Obs {
     /// `limit` of them; see [`FlightRecorder::tail`] for the no-gap /
     /// no-duplicate cursor protocol.
     pub fn tail(&self, cursor: u64, limit: usize) -> EventTail {
-        self.lock().recorder.tail(cursor, limit)
+        self.recorder.tail(cursor, limit)
     }
 
     // ------------------------------------------------------------------
@@ -224,53 +206,47 @@ impl Obs {
 
     /// Replace the time-series sampling schedule (interval + per-series
     /// ring capacity). Existing points are kept.
-    pub fn ts_configure(&self, config: SamplingConfig) {
-        self.lock().timeseries.set_config(config);
+    pub fn ts_configure(&mut self, config: SamplingConfig) {
+        self.timeseries.set_config(config);
     }
 
     /// The active sampling schedule.
     pub fn ts_config(&self) -> SamplingConfig {
-        self.lock().timeseries.config()
+        self.timeseries.config()
     }
 
     /// True when at least one sampling interval has elapsed (on the
-    /// shared sim clock) since the last [`Obs::ts_mark_sampled`]. The
+    /// recorder's clock) since the last [`Obs::ts_mark_sampled`]. The
     /// engine checks this once per dispatched work item.
     pub fn ts_due(&self) -> bool {
-        let inner = self.lock();
-        let now = inner.now;
-        inner.timeseries.due(now)
+        self.timeseries.due(self.now)
     }
 
-    /// Note that a full sample pass just happened at the shared clock.
-    pub fn ts_mark_sampled(&self) {
-        let mut inner = self.lock();
-        let now = inner.now;
-        inner.timeseries.mark_sampled(now);
+    /// Note that a full sample pass just happened at the recorder's clock.
+    pub fn ts_mark_sampled(&mut self) {
+        self.timeseries.mark_sampled(self.now);
     }
 
-    /// Append a point (stamped with the shared clock) to the
+    /// Append a point (stamped with the recorder's clock) to the
     /// `(name, label)` series.
-    pub fn ts_record(&self, name: &str, label: &str, value: i64) {
-        let mut inner = self.lock();
-        let now = inner.now;
-        inner.timeseries.record(name, label, now, value);
+    pub fn ts_record(&mut self, name: &str, label: &str, value: i64) {
+        self.timeseries.record(name, label, self.now, value);
     }
 
-    /// A copy of one series, if any point was ever recorded for it.
-    pub fn ts_series(&self, name: &str, label: &str) -> Option<TimeSeries> {
-        self.lock().timeseries.series(name, label).cloned()
+    /// One series, if any point was ever recorded for it.
+    pub fn ts_series(&self, name: &str, label: &str) -> Option<&TimeSeries> {
+        self.timeseries.series(name, label)
     }
 
     /// Sorted `(name, label, rollup)` summaries of every series.
     pub fn ts_rollups(&self) -> Vec<(String, String, Rollup)> {
-        self.lock().timeseries.rollups()
+        self.timeseries.rollups()
     }
 
-    /// A copy of the whole store (the engine hands this to
-    /// [`render_scrape`] together with its enriched snapshot).
-    pub fn ts_store(&self) -> TimeSeriesStore {
-        self.lock().timeseries.clone()
+    /// The whole store (the engine hands this to [`render_scrape`]
+    /// together with its enriched snapshot).
+    pub fn ts_store(&self) -> &TimeSeriesStore {
+        &self.timeseries
     }
 
     // ------------------------------------------------------------------
@@ -278,94 +254,73 @@ impl Obs {
     // ------------------------------------------------------------------
 
     /// Replace the watchdog deadlines.
-    pub fn health_configure(&self, config: HealthConfig) {
-        self.lock().health.set_config(config);
+    pub fn health_configure(&mut self, config: HealthConfig) {
+        self.health.set_config(config);
     }
 
     /// The active watchdog deadlines.
     pub fn health_config(&self) -> HealthConfig {
-        self.lock().health.config()
+        self.health.config()
     }
 
-    /// Start watching a flow, watermarked at the shared clock.
-    pub fn health_register(&self, txn: &str) {
-        let mut inner = self.lock();
-        let now = inner.now;
-        inner.health.register(txn, now);
+    /// Start watching a flow, watermarked at the recorder's clock.
+    pub fn health_register(&mut self, txn: &str) {
+        self.health.register(txn, self.now);
     }
 
     /// Stop watching a flow (it reached a terminal state) and refresh
     /// the `dfms/flows_stalled` gauge.
-    pub fn health_finish(&self, txn: &str) {
-        let mut inner = self.lock();
-        inner.health.finish(txn);
-        let stalled = inner.health.stalled_count() as i64;
-        inner.metrics.gauge_set("dfms", "flows_stalled", stalled);
+    pub fn health_finish(&mut self, txn: &str) {
+        self.health.finish(txn);
+        self.refresh_stalled_gauge();
     }
 
     /// Advance a flow's progress watermark to `time`. A `Slow`/`Stalled`
     /// flow recovers to `Healthy`; the recovery is recorded as a
     /// `health.healthy` event and the gauge is refreshed.
-    pub fn health_progress(&self, txn: &str, time: SimTime) {
-        let mut inner = self.lock();
-        if let Some(t) = inner.health.progress(txn, time) {
-            let now = inner.now;
-            inner.recorder.record(
-                now,
-                EventKind::HealthTransition {
-                    txn: t.txn,
-                    from: t.from,
-                    to: t.to,
-                    last_progress_us: t.last_progress.0,
-                },
-            );
-            let stalled = inner.health.stalled_count() as i64;
-            inner.metrics.gauge_set("dfms", "flows_stalled", stalled);
+    pub fn health_progress(&mut self, txn: &str, time: SimTime) {
+        if let Some(t) = self.health.progress(txn, time) {
+            self.record(EventKind::HealthTransition {
+                txn: t.txn,
+                from: t.from,
+                to: t.to,
+                last_progress_us: t.last_progress.0,
+            });
+            self.refresh_stalled_gauge();
         }
     }
 
-    /// Re-classify every watched flow against the shared clock. Each
+    /// Re-classify every watched flow against the recorder's clock. Each
     /// transition is recorded as a `health.*` event, and the
     /// `dfms/flows_stalled` gauge is refreshed. Returns the transitions
     /// (in transaction-id order).
-    pub fn health_check(&self) -> Vec<HealthTransition> {
-        let mut inner = self.lock();
-        let now = inner.now;
-        let transitions = inner.health.check(now);
+    pub fn health_check(&mut self) -> Vec<HealthTransition> {
+        let transitions = self.health.check(self.now);
         for t in &transitions {
-            inner.recorder.record(
-                now,
-                EventKind::HealthTransition {
-                    txn: t.txn.clone(),
-                    from: t.from,
-                    to: t.to,
-                    last_progress_us: t.last_progress.0,
-                },
-            );
+            self.record(EventKind::HealthTransition {
+                txn: t.txn.clone(),
+                from: t.from,
+                to: t.to,
+                last_progress_us: t.last_progress.0,
+            });
         }
-        let stalled = inner.health.stalled_count() as i64;
-        inner.metrics.gauge_set("dfms", "flows_stalled", stalled);
+        self.refresh_stalled_gauge();
         transitions
+    }
+
+    fn refresh_stalled_gauge(&mut self) {
+        let stalled = self.health.stalled_count() as i64;
+        self.metrics.gauge_set("dfms", "flows_stalled", stalled);
     }
 
     /// Every watched flow's classification, in transaction-id order.
     pub fn health_flows(&self) -> Vec<FlowHealth> {
-        self.lock().health.flows()
+        self.health.flows()
     }
 
     /// One watched flow's classification.
     pub fn health_flow(&self, txn: &str) -> Option<FlowHealth> {
-        self.lock().health.flow(txn)
-    }
-
-    /// A Prometheus-style text scrape of this handle's own snapshot plus
-    /// all series rollups ([`render_scrape`]). The engine's
-    /// `telemetry_scrape` is the richer variant (it folds in grid
-    /// transfer totals first).
-    pub fn scrape(&self) -> String {
-        let snap = self.snapshot();
-        let inner = self.lock();
-        render_scrape(&snap, &inner.timeseries, inner.now)
+        self.health.flow(txn)
     }
 
     // ------------------------------------------------------------------
@@ -374,68 +329,62 @@ impl Obs {
 
     /// Open a span at the current simulation clock. `parent = None`
     /// roots a fresh trace; children inherit the parent's trace id.
-    pub fn span_start(&self, kind: SpanKind, name: &str, parent: Option<SpanContext>) -> SpanContext {
-        let mut inner = self.lock();
-        let now = inner.now;
-        inner.traces.start(now, kind, name, parent)
+    pub fn span_start(&mut self, kind: SpanKind, name: &str, parent: Option<SpanContext>) -> SpanContext {
+        self.traces.start(self.now, kind, name, parent)
     }
 
     /// Open a span at an explicit simulation time (for work whose start
-    /// is scheduled ahead of the shared clock, e.g. staged transfers).
+    /// is scheduled ahead of the recorder's clock, e.g. staged transfers).
     pub fn span_start_at(
-        &self,
+        &mut self,
         time: SimTime,
         kind: SpanKind,
         name: &str,
         parent: Option<SpanContext>,
     ) -> SpanContext {
-        self.lock().traces.start(time, kind, name, parent)
+        self.traces.start(time, kind, name, parent)
     }
 
     /// Close a span at the current simulation clock and fold its
     /// duration into the `trace/span.<kind>` histogram. Closing twice is
     /// a no-op.
-    pub fn span_end(&self, ctx: SpanContext) {
-        let now = self.now();
-        self.span_end_at(ctx, now);
+    pub fn span_end(&mut self, ctx: SpanContext) {
+        self.span_end_at(ctx, self.now);
     }
 
     /// Close a span at an explicit simulation time.
-    pub fn span_end_at(&self, ctx: SpanContext, time: SimTime) {
-        let mut inner = self.lock();
-        if let Some((kind, dur)) = inner.traces.end(ctx, time) {
-            inner
-                .metrics
-                .observe("trace", &format!("span.{}", kind.name()), Duration(dur));
+    pub fn span_end_at(&mut self, ctx: SpanContext, time: SimTime) {
+        if let Some((kind, dur)) = self.traces.end(ctx, time) {
+            self.metrics.observe("trace", &format!("span.{}", kind.name()), Duration(dur));
         }
     }
 
     /// Append a structured attribute to a span.
-    pub fn span_attr(&self, ctx: SpanContext, key: &str, value: &str) {
-        self.lock().traces.attr(ctx, key, value);
+    pub fn span_attr(&mut self, ctx: SpanContext, key: &str, value: &str) {
+        self.traces.attr(ctx, key, value);
     }
 
     /// All recorded spans, in creation order.
-    pub fn spans(&self) -> Vec<Span> {
-        self.lock().traces.spans().to_vec()
+    pub fn spans(&self) -> &[Span] {
+        self.traces.spans()
     }
 
     /// The spans of one trace, in creation order.
     pub fn trace_spans(&self, trace: TraceId) -> Vec<Span> {
-        self.lock().traces.trace_spans(trace)
+        self.traces.trace_spans(trace)
     }
 
     /// Export every recorded span as Chrome trace-event JSON
     /// (loadable in `chrome://tracing` / Perfetto).
     pub fn export_chrome_trace(&self) -> String {
-        to_chrome_trace(self.lock().traces.spans())
+        to_chrome_trace(self.traces.spans())
     }
 
     /// Export every recorded span as a binary Perfetto `Trace` protobuf
     /// (loadable in <https://ui.perfetto.dev>, see
     /// [`to_perfetto_trace`]).
     pub fn export_perfetto_trace(&self) -> Vec<u8> {
-        to_perfetto_trace(self.lock().traces.spans())
+        to_perfetto_trace(self.traces.spans())
     }
 
     // ------------------------------------------------------------------
@@ -447,7 +396,7 @@ impl Obs {
     /// The engine calls this whenever it parks work; the marks classify
     /// critical-path gaps when the flow finishes.
     pub fn why_mark(
-        &self,
+        &mut self,
         txn: &str,
         node: &str,
         state: WaitState,
@@ -455,7 +404,7 @@ impl Obs {
         until: SimTime,
         resource: &str,
     ) {
-        self.lock().why.add_mark(WaitMark {
+        self.why.add_mark(WaitMark {
             txn: txn.to_owned(),
             node: node.to_owned(),
             state,
@@ -470,46 +419,45 @@ impl Obs {
     /// for [`Obs::why_paths`] / [`Obs::why_bottlenecks`]. A no-op when
     /// the root span is unknown or still open. Reads only this flow's
     /// spans and marks, so its cost does not grow with history.
-    pub fn why_flow_finished(&self, root: SpanContext) {
-        let mut inner = self.lock();
-        let spans = inner.traces.trace_spans(root.trace);
-        inner.why.flow_finished(&spans, root.span);
+    pub fn why_flow_finished(&mut self, root: SpanContext) {
+        let spans = self.traces.trace_spans(root.trace);
+        self.why.flow_finished(&spans, root.span);
     }
 
     /// Every completed flow's critical path, in completion order.
-    pub fn why_paths(&self) -> Vec<CriticalPath> {
-        self.lock().why.paths().to_vec()
+    pub fn why_paths(&self) -> &[CriticalPath] {
+        self.why.paths()
     }
 
     /// Total critical-path sim-µs attributed across every analyzed
     /// flow (the denominator of every bottleneck share).
     pub fn why_attributed_us(&self) -> u64 {
-        self.lock().why.attributed_us()
+        self.why.attributed_us()
     }
 
     /// The aggregated `(state, resource)` blame table, largest
     /// contributor first; `top_k = 0` returns every row.
     pub fn why_bottlenecks(&self, top_k: usize) -> Vec<WhyBottleneck> {
-        self.lock().why.bottlenecks(top_k)
+        self.why.bottlenecks(top_k)
     }
 
     /// Register an SLA deadline objective for a flow. Re-registration
     /// of the same transaction (recovery replay re-drives submissions)
     /// keeps the first registration.
-    pub fn why_register_alert(&self, alert: SlaAlert) {
-        self.lock().why.register_alert(alert);
+    pub fn why_register_alert(&mut self, alert: SlaAlert) {
+        self.why.register_alert(alert);
     }
 
     /// Transactions whose pending alert's deadline has passed at
     /// `now`, in registration order. The engine turns each into a
     /// journaled `sla.firing` transition via [`Obs::why_fire_alert`].
     pub fn why_due_firings(&self, now: SimTime) -> Vec<String> {
-        self.lock().why.due_firings(now)
+        self.why.due_firings(now)
     }
 
     /// Move a pending alert to `firing` at `at`.
-    pub fn why_fire_alert(&self, txn: &str, at: SimTime) {
-        if let Some(a) = self.lock().why.alert_mut(txn) {
+    pub fn why_fire_alert(&mut self, txn: &str, at: SimTime) {
+        if let Some(a) = self.why.alert_mut(txn) {
             if a.state == AlertState::Pending {
                 a.state = AlertState::Firing;
                 a.fired_at = Some(at);
@@ -519,8 +467,8 @@ impl Obs {
 
     /// Resolve an alert at `at` (its flow reached a terminal state);
     /// `breached` records whether the flow finished past its deadline.
-    pub fn why_resolve_alert(&self, txn: &str, at: SimTime, breached: bool) {
-        if let Some(a) = self.lock().why.alert_mut(txn) {
+    pub fn why_resolve_alert(&mut self, txn: &str, at: SimTime, breached: bool) {
+        if let Some(a) = self.why.alert_mut(txn) {
             if a.state != AlertState::Resolved {
                 a.state = AlertState::Resolved;
                 a.resolved_at = Some(at);
@@ -530,54 +478,50 @@ impl Obs {
     }
 
     /// One flow's alert, when it has an objective.
-    pub fn why_alert(&self, txn: &str) -> Option<SlaAlert> {
-        self.lock().why.alerts().iter().find(|a| a.txn == txn).cloned()
+    pub fn why_alert(&self, txn: &str) -> Option<&SlaAlert> {
+        self.why.alerts().iter().find(|a| a.txn == txn)
     }
 
     /// Every SLA alert, in registration order.
-    pub fn why_alerts(&self) -> Vec<SlaAlert> {
-        self.lock().why.alerts().to_vec()
+    pub fn why_alerts(&self) -> &[SlaAlert] {
+        self.why.alerts()
     }
 
     /// Every recorded wait mark, in recording order (diagnostic).
-    pub fn why_marks(&self) -> Vec<WaitMark> {
-        self.lock().why.marks().to_vec()
+    pub fn why_marks(&self) -> &[WaitMark] {
+        self.why.marks()
     }
 
     // ------------------------------------------------------------------
     // Phase profiling (dgf-prof)
     // ------------------------------------------------------------------
 
-    /// Enter a profiled phase at the shared simulation clock, nesting
+    /// Enter a profiled phase at the recorder's simulation clock, nesting
     /// under the currently open phase. Must pair with [`Obs::prof_exit`]
     /// on every control path.
-    pub fn prof_enter(&self, phase: Phase) {
-        let mut inner = self.lock();
-        let now = inner.now;
-        inner.prof.enter(phase, now);
+    pub fn prof_enter(&mut self, phase: Phase) {
+        self.prof.enter(phase, self.now);
     }
 
-    /// Exit the innermost open profiled phase at the shared clock.
-    pub fn prof_exit(&self, phase: Phase) {
-        let mut inner = self.lock();
-        let now = inner.now;
-        inner.prof.exit(phase, now);
+    /// Exit the innermost open profiled phase at the recorder's clock.
+    pub fn prof_exit(&mut self, phase: Phase) {
+        self.prof.exit(phase, self.now);
     }
 
     /// Fold an externally-measured cost into the profile as a leaf
     /// under the currently open phase (see [`Profiler::record_leaf`]).
-    pub fn prof_record_leaf(&self, phase: Phase, calls: u64, wall_ns: u64) {
-        self.lock().prof.record_leaf(phase, calls, wall_ns);
+    pub fn prof_record_leaf(&mut self, phase: Phase, calls: u64, wall_ns: u64) {
+        self.prof.record_leaf(phase, calls, wall_ns);
     }
 
     /// A point-in-time copy of the phase-profile tree.
     pub fn profile_snapshot(&self) -> ProfileSnapshot {
-        self.lock().prof.snapshot()
+        self.prof.snapshot()
     }
 
     /// Drop every accumulated profile node (and any open scopes).
-    pub fn profile_reset(&self) {
-        self.lock().prof.reset();
+    pub fn profile_reset(&mut self) {
+        self.prof.reset();
     }
 
     /// Chrome trace export with the phase profile merged in as a
@@ -585,16 +529,14 @@ impl Obs {
     /// [`to_chrome_trace_with_profile`]). Report-only: the profile
     /// slices carry wall-clock widths and vary between runs.
     pub fn export_chrome_trace_with_profile(&self) -> String {
-        let inner = self.lock();
-        to_chrome_trace_with_profile(inner.traces.spans(), &inner.prof.snapshot())
+        to_chrome_trace_with_profile(self.traces.spans(), &self.prof.snapshot())
     }
 
     /// Perfetto export with the phase profile merged in as a synthetic
     /// `dgf-prof` track (see [`to_perfetto_trace_with_profile`]).
     /// Report-only, like its Chrome sibling.
     pub fn export_perfetto_trace_with_profile(&self) -> Vec<u8> {
-        let inner = self.lock();
-        to_perfetto_trace_with_profile(inner.traces.spans(), &inner.prof.snapshot())
+        to_perfetto_trace_with_profile(self.traces.spans(), &self.prof.snapshot())
     }
 }
 
@@ -609,29 +551,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn clones_share_one_recorder() {
-        let a = Obs::new(16);
-        let b = a.clone();
-        a.set_now(SimTime(7));
-        b.record(EventKind::TriggerFired { trigger: "x".into(), action: "flow".into() });
-        b.inc("triggers", "fired");
-        assert_eq!(a.events().len(), 1);
-        assert_eq!(a.events()[0].time, SimTime(7));
-        assert_eq!(a.snapshot().counter("triggers", "fired"), 1);
-    }
-
-    #[test]
-    fn record_at_overrides_the_shared_clock() {
-        let obs = Obs::new(16);
+    fn explicit_span_times_leave_the_clock_alone() {
+        let mut obs = Obs::new(16);
         obs.set_now(SimTime(100));
-        obs.record_at(SimTime(42), EventKind::TriggerFired { trigger: "t".into(), action: "notify".into() });
-        assert_eq!(obs.events()[0].time, SimTime(42));
+        let span = obs.span_start_at(SimTime(42), SpanKind::Flow, "f", None);
+        obs.span_end_at(span, SimTime(60));
+        assert_eq!(obs.spans()[0].start, SimTime(42));
+        assert_eq!(obs.spans()[0].duration_us(), Some(18));
         assert_eq!(obs.now(), SimTime(100));
     }
 
     #[test]
     fn set_now_never_moves_the_clock_backwards() {
-        let obs = Obs::new(16);
+        let mut obs = Obs::new(16);
         obs.set_now(SimTime(100));
         obs.set_now(SimTime(40)); // regression: ignored
         assert_eq!(obs.now(), SimTime(100));
@@ -643,7 +575,7 @@ mod tests {
 
     #[test]
     fn spans_nest_close_and_feed_percentile_gauges() {
-        let obs = Obs::new(16);
+        let mut obs = Obs::new(16);
         obs.set_now(SimTime(10));
         let root = obs.span_start(SpanKind::Flow, "f", None);
         let child = obs.span_start(SpanKind::DgmsOp, "ingest", Some(root));

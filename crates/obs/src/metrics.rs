@@ -86,9 +86,9 @@ impl MetricValue {
     }
 }
 
-/// The writable registry. Subsystems hold a shared handle
-/// ([`crate::Obs`]) and call `inc`/`add`/`gauge_set`/`observe`; readers
-/// take a [`MetricsSnapshot`].
+/// The writable registry. Its owner (an [`crate::Obs`], held by the
+/// engine or the fabric) calls `inc`/`add`/`gauge_set`/`observe`;
+/// readers take a [`MetricsSnapshot`].
 ///
 /// ```
 /// use dgf_obs::MetricsRegistry;

@@ -45,44 +45,26 @@ impl BindingCache {
         self.mode
     }
 
-    /// Resolve a placement for task instance `key`.
-    ///
-    /// When the scheduler carries an observability handle, each call is
-    /// counted into `scheduler/binding.plans` (a fresh plan was computed)
-    /// or `scheduler/binding.replays` (an early-bound placement was
-    /// replayed from the pin cache). When the caller also passes a span
-    /// context (`ctx`), a `binding` attribute — `plan` or `replay` — is
-    /// stamped on that span so traces show which path each task took.
+    /// Resolve a placement for task instance `key`, and say whether it
+    /// was replayed from the pin cache (`true`) rather than freshly
+    /// planned. A failed resolve is always a fresh plan. The engine
+    /// counts the two paths as `scheduler/binding.{plans,replays}`.
     pub fn resolve(
         &mut self,
         scheduler: &mut Scheduler,
         grid: &DataGrid,
         key: &str,
         task: &AbstractTask,
-        ctx: Option<dgf_obs::SpanContext>,
-    ) -> Result<Placement, PlannerError> {
-        let note = |scheduler: &Scheduler, which: &str| {
-            if let Some(obs) = scheduler.obs() {
-                obs.inc("scheduler", &format!("binding.{which}s"));
-                if let Some(ctx) = ctx {
-                    obs.span_attr(ctx, "binding", which);
-                }
-            }
-        };
+    ) -> Result<(Placement, bool), PlannerError> {
         match self.mode {
-            BindingMode::Late => {
-                note(scheduler, "plan");
-                scheduler.plan(grid, task)
-            }
+            BindingMode::Late => Ok((scheduler.plan(grid, task)?, false)),
             BindingMode::Early => {
                 if let Some(p) = self.pinned.get(key) {
-                    note(scheduler, "replay");
-                    return Ok(p.clone());
+                    return Ok((p.clone(), true));
                 }
-                note(scheduler, "plan");
                 let p = scheduler.plan(grid, task)?;
                 self.pinned.insert(key.to_owned(), p.clone());
-                Ok(p)
+                Ok((p, false))
             }
         }
     }
@@ -135,10 +117,12 @@ mod tests {
         let mut s = Scheduler::new(PlannerKind::CostBased, 1);
         let mut cache = BindingCache::new(BindingMode::Late);
         let task = AbstractTask::compute_only("t", Duration::from_secs(10));
-        let p1 = cache.resolve(&mut s, &g, "k", &task, None).unwrap();
+        let (p1, replayed) = cache.resolve(&mut s, &g, "k", &task).unwrap();
+        assert!(!replayed);
         // Kill the chosen resource; late binding routes around it.
         g.topology_mut().compute_mut(p1.compute).online = false;
-        let p2 = cache.resolve(&mut s, &g, "k", &task, None).unwrap();
+        let (p2, replayed) = cache.resolve(&mut s, &g, "k", &task).unwrap();
+        assert!(!replayed);
         assert_ne!(p1.compute, p2.compute);
         assert_eq!(cache.pinned_count(), 0);
     }
@@ -149,9 +133,11 @@ mod tests {
         let mut s = Scheduler::new(PlannerKind::CostBased, 1);
         let mut cache = BindingCache::new(BindingMode::Early);
         let task = AbstractTask::compute_only("t", Duration::from_secs(10));
-        let p1 = cache.resolve(&mut s, &g, "k", &task, None).unwrap();
+        let (p1, replayed) = cache.resolve(&mut s, &g, "k", &task).unwrap();
+        assert!(!replayed, "the first resolve plans and pins");
         g.topology_mut().compute_mut(p1.compute).online = false;
-        let p2 = cache.resolve(&mut s, &g, "k", &task, None).unwrap();
+        let (p2, replayed) = cache.resolve(&mut s, &g, "k", &task).unwrap();
+        assert!(replayed, "later resolves replay the pin");
         assert_eq!(p1.compute, p2.compute, "early binding sticks to the stale choice");
         assert_eq!(cache.pinned_count(), 1);
     }

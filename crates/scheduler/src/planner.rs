@@ -116,7 +116,6 @@ pub struct Scheduler {
     infra: InfraDescription,
     rng: SmallRng,
     rr_next: usize,
-    obs: Option<dgf_obs::Obs>,
 }
 
 impl Scheduler {
@@ -128,20 +127,7 @@ impl Scheduler {
             infra: InfraDescription::open(),
             rng: SmallRng::seed_from_u64(seed),
             rr_next: 0,
-            obs: None,
         }
-    }
-
-    /// Attach an observability handle; planning decisions are counted
-    /// under the `scheduler` metric scope from then on. The engine calls
-    /// this when it takes ownership of the scheduler.
-    pub fn set_obs(&mut self, obs: dgf_obs::Obs) {
-        self.obs = Some(obs);
-    }
-
-    /// The attached observability handle, if any.
-    pub fn obs(&self) -> Option<&dgf_obs::Obs> {
-        self.obs.as_ref()
     }
 
     /// Builder-style cost weights.
@@ -175,26 +161,7 @@ impl Scheduler {
 
     /// Convert a task's abstract requirement into a concrete placement
     /// against the grid's *current* state.
-    ///
-    /// With an [`Scheduler::set_obs`] handle attached, every call counts
-    /// into `scheduler/plans.ok` or `scheduler/plans.failed`, and the
-    /// winning placement's estimated stage-in time feeds the
-    /// `scheduler/plan.stage_in` sim-time histogram.
     pub fn plan(&mut self, grid: &DataGrid, task: &AbstractTask) -> Result<Placement, PlannerError> {
-        let result = self.plan_inner(grid, task);
-        if let Some(obs) = &self.obs {
-            match &result {
-                Ok(p) => {
-                    obs.inc("scheduler", "plans.ok");
-                    obs.observe("scheduler", "plan.stage_in", p.estimate.stage_in);
-                }
-                Err(_) => obs.inc("scheduler", "plans.failed"),
-            }
-        }
-        result
-    }
-
-    fn plan_inner(&mut self, grid: &DataGrid, task: &AbstractTask) -> Result<Placement, PlannerError> {
         let candidates = self.eligible(grid, task)?;
         let chosen = match self.kind {
             PlannerKind::Random => {

@@ -20,7 +20,9 @@ pub enum OrderingPolicy {
     OwnerRank(Vec<String>),
 }
 
-/// Counters for observability and the E4 experiment.
+/// Counters for observability and the E4 experiment. The only place a
+/// trigger count is kept: the DfMS derives its `triggers/*` metrics
+/// from these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
     /// Events examined.
@@ -47,7 +49,6 @@ pub struct TriggerEngine {
     max_depth: u32,
     cursor: u64,
     stats: EngineStats,
-    obs: Option<dgf_obs::Obs>,
 }
 
 impl TriggerEngine {
@@ -108,19 +109,6 @@ impl TriggerEngine {
         self.stats
     }
 
-    /// Attach an observability handle. Every [`EngineStats`] increment is
-    /// mirrored into counters under the `triggers` metric scope
-    /// (`events.seen`, `fired`, `suppressed.depth`, `condition.errors`).
-    pub fn set_obs(&mut self, obs: dgf_obs::Obs) {
-        self.obs = Some(obs);
-    }
-
-    fn obs_inc(&self, name: &str) {
-        if let Some(obs) = &self.obs {
-            obs.inc("triggers", name);
-        }
-    }
-
     /// The cascade-depth limit.
     pub fn max_depth(&self) -> u32 {
         self.max_depth
@@ -130,10 +118,8 @@ impl TriggerEngine {
     ///
     /// `depth` is the cascade depth of the activity that produced these
     /// events; resulting firings carry `depth + 1` and firings that would
-    /// exceed the limit are counted and dropped. `ctx`, when given, is
-    /// the span of the activity that emitted the events; it is stamped
-    /// onto each firing so actions trace back to their cause.
-    pub fn poll(&mut self, grid: &DataGrid, depth: u32, ctx: Option<dgf_obs::SpanContext>) -> Vec<Firing> {
+    /// exceed the limit are counted and dropped.
+    pub fn poll(&mut self, grid: &DataGrid, depth: u32) -> Vec<Firing> {
         let events: Vec<NamespaceEvent> = grid.events_since(self.cursor).to_vec();
         if let Some(last) = events.last() {
             self.cursor = last.seq + 1;
@@ -141,8 +127,7 @@ impl TriggerEngine {
         let mut firings = Vec::new();
         for event in &events {
             self.stats.events_seen += 1;
-            self.obs_inc("events.seen");
-            firings.extend(self.match_event(grid, event, depth, Timing::After, ctx));
+            firings.extend(self.match_event(grid, event, depth, Timing::After));
         }
         firings
     }
@@ -159,7 +144,6 @@ impl TriggerEngine {
         principal: &str,
         now: SimTime,
         depth: u32,
-        ctx: Option<dgf_obs::SpanContext>,
     ) -> Vec<Firing> {
         let Some(kind) = prospective_kind(op) else { return Vec::new() };
         let event = NamespaceEvent {
@@ -170,7 +154,7 @@ impl TriggerEngine {
             time: now,
             detail: format!("before {}", op.verb()),
         };
-        self.match_event(grid, &event, depth, Timing::Before, ctx)
+        self.match_event(grid, &event, depth, Timing::Before)
     }
 
     fn match_event(
@@ -179,7 +163,6 @@ impl TriggerEngine {
         event: &NamespaceEvent,
         depth: u32,
         timing: Timing,
-        ctx: Option<dgf_obs::SpanContext>,
     ) -> Vec<Firing> {
         let mut matched: Vec<(usize, &Trigger)> = self
             .triggers
@@ -206,11 +189,9 @@ impl TriggerEngine {
                 Ok(true) => {
                     if depth + 1 > self.max_depth {
                         self.stats.suppressed_by_depth += 1;
-                        self.obs_inc("suppressed.depth");
                         continue;
                     }
                     self.stats.fired += 1;
-                    self.obs_inc("fired");
                     firings.push(Firing {
                         trigger: trigger.name.clone(),
                         owner: trigger.owner.clone(),
@@ -218,7 +199,6 @@ impl TriggerEngine {
                         depth: depth + 1,
                         action: trigger.action.clone(),
                         bindings,
-                        ctx,
                     });
                 }
                 Ok(false) => {}
@@ -227,7 +207,6 @@ impl TriggerEngine {
                     // object lacks) must not take the engine down; §2.2's
                     // world is multi-user and non-transactional.
                     self.stats.condition_errors += 1;
-                    self.obs_inc("condition.errors");
                 }
             }
         }
@@ -290,12 +269,12 @@ mod tests {
         let mut engine = TriggerEngine::new();
         assert!(engine.register(notify("t1", "u").on(&[EventKind::ObjectIngested])));
         ingest(&mut g, "/a", 10);
-        let firings = engine.poll(&g, 0, None);
+        let firings = engine.poll(&g, 0);
         assert_eq!(firings.len(), 1);
         assert_eq!(firings[0].trigger, "t1");
         assert_eq!(firings[0].depth, 1);
         // Cursor advanced: polling again yields nothing.
-        assert!(engine.poll(&g, 0, None).is_empty());
+        assert!(engine.poll(&g, 0).is_empty());
         assert_eq!(engine.stats().fired, 1);
     }
 
@@ -309,9 +288,9 @@ mod tests {
                 .when(Expr::parse("object.size > 1000").unwrap()),
         );
         ingest(&mut g, "/small", 10);
-        assert!(engine.poll(&g, 0, None).is_empty());
+        assert!(engine.poll(&g, 0).is_empty());
         ingest(&mut g, "/big", 10_000);
-        assert_eq!(engine.poll(&g, 0, None).len(), 1);
+        assert_eq!(engine.poll(&g, 0).len(), 1);
     }
 
     #[test]
@@ -328,7 +307,7 @@ mod tests {
         ingest(&mut g, "/x", 10);
         g.execute("u", Operation::SetMetadata { path: path("/x"), triple: MetaTriple::new("document-type", "raw") }, SimTime::ZERO)
             .unwrap();
-        let firings = engine.poll(&g, 0, None);
+        let firings = engine.poll(&g, 0);
         assert_eq!(firings.len(), 1, "fires on the metadata event, not the ingest");
     }
 
@@ -356,15 +335,15 @@ mod tests {
         ingest(&mut g, "/x", 1);
 
         let mut reg = make_engine(OrderingPolicy::Registration);
-        let order: Vec<_> = reg.poll(&g, 0, None).into_iter().map(|f| f.trigger).collect();
+        let order: Vec<_> = reg.poll(&g, 0).into_iter().map(|f| f.trigger).collect();
         assert_eq!(order, ["alice-t", "bob-t", "carol-t"]);
 
         let mut pri = make_engine(OrderingPolicy::Priority);
-        let order: Vec<_> = pri.poll(&g, 0, None).into_iter().map(|f| f.trigger).collect();
+        let order: Vec<_> = pri.poll(&g, 0).into_iter().map(|f| f.trigger).collect();
         assert_eq!(order, ["bob-t", "carol-t", "alice-t"]);
 
         let mut rank = make_engine(OrderingPolicy::OwnerRank(vec!["carol".into(), "alice".into()]));
-        let order: Vec<_> = rank.poll(&g, 0, None).into_iter().map(|f| f.trigger).collect();
+        let order: Vec<_> = rank.poll(&g, 0).into_iter().map(|f| f.trigger).collect();
         assert_eq!(order, ["carol-t", "alice-t", "bob-t"], "unlisted owners last");
     }
 
@@ -374,15 +353,15 @@ mod tests {
         let mut engine = TriggerEngine::new().with_max_depth(2);
         engine.register(notify("t", "u").on(&[EventKind::ObjectIngested]));
         ingest(&mut g, "/a", 1);
-        let f1 = engine.poll(&g, 0, None);
+        let f1 = engine.poll(&g, 0);
         assert_eq!(f1[0].depth, 1);
         // Pretend the firing's flow ingested another object.
         ingest(&mut g, "/b", 1);
-        let f2 = engine.poll(&g, f1[0].depth, None);
+        let f2 = engine.poll(&g, f1[0].depth);
         assert_eq!(f2[0].depth, 2);
         // Next generation exceeds the limit and is suppressed.
         ingest(&mut g, "/c", 1);
-        let f3 = engine.poll(&g, f2[0].depth, None);
+        let f3 = engine.poll(&g, f2[0].depth);
         assert!(f3.is_empty());
         assert_eq!(engine.stats().suppressed_by_depth, 1);
     }
@@ -397,9 +376,9 @@ mod tests {
                 .before(),
         );
         ingest(&mut g, "/x", 1);
-        assert!(engine.poll(&g, 0, None).is_empty(), "AFTER poll ignores BEFORE triggers");
+        assert!(engine.poll(&g, 0).is_empty(), "AFTER poll ignores BEFORE triggers");
         let op = Operation::Delete { path: path("/x") };
-        let firings = engine.before_op(&g, &op, "u", SimTime::ZERO, 0, None);
+        let firings = engine.before_op(&g, &op, "u", SimTime::ZERO, 0);
         assert_eq!(firings.len(), 1);
         // The object still exists at BEFORE time.
         assert!(g.exists(&path("/x")));
@@ -416,7 +395,7 @@ mod tests {
         );
         engine.register(notify("healthy", "u"));
         ingest(&mut g, "/x", 1);
-        let firings = engine.poll(&g, 0, None);
+        let firings = engine.poll(&g, 0);
         assert_eq!(firings.len(), 1);
         assert_eq!(firings[0].trigger, "healthy");
         assert_eq!(engine.stats().condition_errors, 1);

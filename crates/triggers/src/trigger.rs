@@ -148,9 +148,6 @@ pub struct Firing {
     /// The bindings captured at match time (interpolate action templates
     /// with these).
     pub bindings: Scope,
-    /// The span of the activity whose event matched, when the caller is
-    /// tracing — the engine parents the firing's action span under it.
-    pub ctx: Option<dgf_obs::SpanContext>,
 }
 
 #[cfg(test)]

@@ -28,13 +28,13 @@ fn factory() -> Dfms {
     let mut users = UserRegistry::new();
     users.register(Principal::new("arun", topology.domain_ids().next().unwrap()));
     users.make_admin("arun").unwrap();
-    let dfms = Dfms::new(DataGrid::new(topology, users), Scheduler::new(PlannerKind::CostBased, 42));
+    let mut dfms = Dfms::new(DataGrid::new(topology, users), Scheduler::new(PlannerKind::CostBased, 42));
     // Tight stall deadlines so the demo's stall is diagnosable within
     // simulated hours rather than the production default of 2h/15min.
-    dfms.obs().health_configure(HealthConfig {
-        slow_after: Duration::from_secs(600),
-        stalled_after: Duration::from_secs(1800),
-    });
+    dfms.configure_telemetry(
+        SamplingConfig::default(),
+        HealthConfig { slow_after: Duration::from_secs(600), stalled_after: Duration::from_secs(1800) },
+    );
     dfms
 }
 

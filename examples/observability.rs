@@ -21,8 +21,9 @@ use datagridflows::prelude::*;
 
 fn main() {
     // 1. A two-site grid and a DfMS with a cost-based scheduler. The
-    //    engine wires a shared `Obs` handle into the scheduler and the
-    //    trigger engine at construction, so one recorder sees them all.
+    //    engine owns the recorder; the scheduler and the trigger engine
+    //    hand their results back and the engine records them, so one
+    //    recorder sees them all.
     let topology = GridBuilder::preset(GridPreset::UniformMesh { domains: 2 });
     let mut users = UserRegistry::new();
     users.register(Principal::new("arun", topology.domain_ids().next().unwrap()));

@@ -36,6 +36,18 @@ for doc in README.md docs/*.md; do
 done
 [ "$link_errors" -eq 0 ] || exit 1
 
+# Layering gate: observability belongs to the engine (`dgf-dfms`) and
+# the fabric, which own their `Obs` by value. The layers beneath them
+# hand their results back instead of recording, so none of them may
+# depend on `dgf-obs` (docs/DETERMINISM.md). Reads the lockfile only.
+for crate in dgf-simgrid dgf-dgms dgf-journal dgf-scheduler dgf-triggers; do
+    deps=$(cargo tree --offline --locked -e normal -p "$crate" --prefix none)
+    if grep -q '^dgf-obs ' <<<"$deps"; then
+        echo "verify: $crate depends on dgf-obs; lower layers hand observations back to the engine" >&2
+        exit 1
+    fi
+done
+
 # Trace determinism: the observability suite must be stable across
 # invocations, and two identically-seeded runs must export
 # byte-identical Chrome trace JSON.

@@ -126,7 +126,7 @@ fn every_activity_span_parents_back_to_a_flow_root() {
     for kind in activity {
         assert!(spans.iter().any(|s| s.kind == kind), "no {} span recorded", kind.name());
     }
-    for s in &spans {
+    for s in spans {
         assert!(s.end.is_some(), "span {} ({}) left open", s.id.0, s.name);
         assert!(s.end.unwrap() >= s.start, "span {} ends before it starts", s.id.0);
         if !activity.contains(&s.kind) {
