@@ -31,6 +31,22 @@ const MAX_LOOP_ITERATIONS: u64 = 100_000;
 /// How long a task waits before re-probing a saturated grid.
 const QUEUE_RETRY_INTERVAL: Duration = Duration(30_000_000); // 30 s
 
+/// Every root state the `flows.state` telemetry reports, in its order.
+const FLOW_STATES: [RunState; 7] = [
+    RunState::Pending,
+    RunState::Running,
+    RunState::Paused,
+    RunState::Completed,
+    RunState::Failed,
+    RunState::Stopped,
+    RunState::Skipped,
+];
+
+/// `state`'s index in `FLOW_STATES`.
+fn flow_state_slot(state: RunState) -> usize {
+    FLOW_STATES.iter().position(|s| *s == state).expect("FLOW_STATES lists every state")
+}
+
 /// A notification emitted by a `notify` operation or trigger action —
 /// the §2.2 "sending notifications when specific types of files are
 /// ingested" use case.
@@ -104,9 +120,13 @@ pub struct Dfms {
     queue: EventQueue<Work>,
     runs: Vec<Run>,
     /// Runs not yet known to be terminal, in submission order. Pruned
-    /// when a checkpoint summarizes them, so it tracks live work rather
-    /// than history (a terminal root never leaves its state).
+    /// when a checkpoint or a telemetry sample reads it, so it tracks
+    /// live work rather than history (a terminal root never leaves its
+    /// state).
     live_runs: Vec<RunId>,
+    /// Runs pruned from `live_runs`, counted by root state (indexed like
+    /// `FLOW_STATES`; only terminal slots ever count).
+    finished_runs: [u64; FLOW_STATES.len()],
     txn_index: BTreeMap<String, RunId>,
     /// The first run submitted under each lineage (restarts add later
     /// runs to a lineage; the first stays).
@@ -159,6 +179,7 @@ impl Dfms {
             queue: EventQueue::new(),
             runs: Vec::new(),
             live_runs: Vec::new(),
+            finished_runs: [0; FLOW_STATES.len()],
             txn_index: BTreeMap::new(),
             lineage_index: BTreeMap::new(),
             pending_ops: BTreeMap::new(),
@@ -367,19 +388,16 @@ impl Dfms {
         );
         // Flows by state: every state is recorded each pass (zeros
         // included) so the series' label set never varies between runs.
-        const STATES: [RunState; 7] = [
-            RunState::Pending,
-            RunState::Running,
-            RunState::Paused,
-            RunState::Completed,
-            RunState::Failed,
-            RunState::Stopped,
-            RunState::Skipped,
-        ];
-        for state in STATES {
-            let count = self.runs.iter().filter(|r| r.nodes[0].state == state).count() as i64;
-            self.obs.ts_record("flows.state", &state.to_string(), count);
-            self.obs.gauge_set("dfms", &format!("flows.{state}"), count);
+        // Finished runs are counted once, when pruned; only live runs
+        // are looked at here.
+        self.prune_finished_runs();
+        let mut counts = self.finished_runs;
+        for id in &self.live_runs {
+            counts[flow_state_slot(self.runs[id.0 as usize].nodes[0].state)] += 1;
+        }
+        for (state, count) in FLOW_STATES.into_iter().zip(counts) {
+            self.obs.ts_record("flows.state", state.as_str(), count as i64);
+            self.obs.gauge_set("dfms", &format!("flows.{state}"), count as i64);
         }
         self.obs.ts_mark_sampled();
         self.obs.health_check();
@@ -783,12 +801,12 @@ impl Dfms {
         self.runs[id.0 as usize].nodes[0].span = Some(flow_span);
         self.obs.inc("engine", "runs.submitted");
         self.obs.record(ObsKind::RunSubmitted { txn: txn.clone(), flow: flow_name.clone(), user: user.to_owned() });
-        self.journal_transition(
+        self.journal_transition(|| {
             recovery::transition("run.submitted")
                 .with_attr("txn", &txn)
                 .with_attr("flow", &flow_name)
-                .with_attr("user", user),
-        );
+                .with_attr("user", user)
+        });
         // Open the SLA alert in `pending`; the event loop moves it to
         // `firing`/`resolved`. The transition is journaled so recovery
         // replays the identical lifecycle.
@@ -801,13 +819,13 @@ impl Dfms {
                 state: dgf_dgl::AlertState::Pending,
                 burn_ppm: 0,
             });
-            if self.journal_transition(
+            if self.journal_transition(|| {
                 recovery::transition("alert")
                     .with_attr("txn", &txn)
                     .with_attr("class", &class)
                     .with_attr("state", "pending")
-                    .with_attr("deadlineUs", deadline.0.to_string()),
-            ) {
+                    .with_attr("deadlineUs", deadline.0.to_string())
+            }) {
                 self.obs.why_register_alert(dgf_obs::SlaAlert {
                     txn: txn.clone(),
                     class,
@@ -1003,12 +1021,12 @@ impl Dfms {
                 state: dgf_dgl::AlertState::Firing,
                 burn_ppm: burn,
             });
-            if self.journal_transition(
+            if self.journal_transition(|| {
                 recovery::transition("alert")
                     .with_attr("txn", &txn)
                     .with_attr("state", "firing")
-                    .with_attr("burnPpm", burn.to_string()),
-            ) {
+                    .with_attr("burnPpm", burn.to_string())
+            }) {
                 self.obs.why_fire_alert(&txn, now);
             }
         }
@@ -1110,7 +1128,7 @@ impl Dfms {
             trace_id: root_span.map(|s| s.trace.0),
             span_id: root_span.map(|s| s.span.0),
         };
-        if self.journal_transition(recovery::transition("provenance").with_child(record.to_element())) {
+        if self.journal_transition(|| recovery::transition("provenance").with_child(record.to_element())) {
             self.provenance.record(record);
         }
         for ctx in open_spans {
@@ -1401,12 +1419,12 @@ impl Dfms {
                 (run.txn.clone(), run.path_of(node_id), run.node(node_id).name.clone())
             };
             self.obs.record(ObsKind::StepStarted { txn: txn.clone(), node: path.clone(), name: name.clone() });
-            self.journal_transition(
+            self.journal_transition(|| {
                 recovery::transition("step.start")
                     .with_attr("txn", &txn)
                     .with_attr("node", &path)
-                    .with_attr("name", &name),
-            );
+                    .with_attr("name", &name)
+            });
             self.start_step(run_id, node_id);
         } else {
             self.start_flow(run_id, node_id);
@@ -1943,12 +1961,12 @@ impl Dfms {
                 trigger: firing.trigger.clone(),
                 action: action_name.into(),
             });
-            self.journal_transition(
+            self.journal_transition(|| {
                 recovery::transition("trigger")
                     .with_attr("name", &firing.trigger)
                     .with_attr("action", action_name)
-                    .with_attr("event", firing.event.kind.to_string()),
-            );
+                    .with_attr("event", firing.event.kind.to_string())
+            });
             // The action span parents under the span of the activity that
             // emitted the matched event, chaining the firing back to its
             // causing flow.
@@ -2156,14 +2174,14 @@ impl Dfms {
                 domain: domain.clone(),
                 est_us: (placement.estimate.stage_in + placement.estimate.exec).0,
             });
-            self.journal_transition(
+            self.journal_transition(|| {
                 recovery::transition("binding")
                     .with_attr("txn", &txn)
                     .with_attr("node", &path_id)
                     .with_attr("code", &task.code)
                     .with_attr("compute", &compute)
-                    .with_attr("domain", &domain),
-            );
+                    .with_attr("domain", &domain)
+            });
         }
         // Claim the slot (early-bound placements may be stale).
         if !self.grid.topology_mut().compute_mut(placement.compute).claim_slot() {
@@ -2563,7 +2581,7 @@ impl Dfms {
             // (the watchdog's definition of liveness).
             self.obs.health_progress(&record.transaction, finished);
         }
-        if self.journal_transition(recovery::transition("provenance").with_child(record.to_element())) {
+        if self.journal_transition(|| recovery::transition("provenance").with_child(record.to_element())) {
             self.provenance.record(record);
         }
     }
@@ -2595,13 +2613,13 @@ impl Dfms {
                     state: dgf_dgl::AlertState::Resolved,
                     burn_ppm: burn,
                 });
-                if self.journal_transition(
+                if self.journal_transition(|| {
                     recovery::transition("alert")
                         .with_attr("txn", &txn)
                         .with_attr("state", "resolved")
                         .with_attr("breached", breached.to_string())
-                        .with_attr("burnPpm", burn.to_string()),
-                ) {
+                        .with_attr("burnPpm", burn.to_string())
+                }) {
                     self.obs.why_resolve_alert(&txn, finished, breached);
                 }
             }
@@ -2758,17 +2776,19 @@ impl Dfms {
     }
 
     /// Journal one derived effect — or, during replay, log it for the
-    /// divergence check. Returns whether the transition's effect should
+    /// divergence check. `body` builds the transition's element, and
+    /// runs only when a journal is attached: an unjournaled engine
+    /// builds no XML. Returns whether the transition's effect should
     /// apply: `false` only once a time-travel replay has derived past
     /// its ordinal limit (callers then suppress the provenance write).
-    fn journal_transition(&mut self, body: Element) -> bool {
+    fn journal_transition(&mut self, body: impl FnOnce() -> Element) -> bool {
         if self.journal.is_none() {
             return true;
         }
         // A phase scope around the write *and* the fsyncs it triggered.
         self.obs.prof_enter(Phase::JournalAppend);
         let j = self.journal.as_mut().expect("checked above");
-        let result = j.on_transition(body);
+        let result = j.on_transition(body());
         let (sync_calls, sync_nanos) =
             j.journal.as_mut().map(Journal::take_sync_profile).unwrap_or((0, 0));
         self.obs.prof_record_leaf(Phase::JournalFsync, sync_calls, sync_nanos);
@@ -2853,8 +2873,7 @@ impl Dfms {
     /// one `<flow>` summary per live run. Runs found terminal leave
     /// `live_runs` here, so the body tracks live work, not history.
     fn checkpoint_element(&mut self) -> Element {
-        let runs = &self.runs;
-        self.live_runs.retain(|id| !runs[id.0 as usize].nodes[0].state.is_terminal());
+        self.prune_finished_runs();
         let mut flows = Element::new("flows");
         for id in &self.live_runs {
             let run = &self.runs[id.0 as usize];
@@ -2872,6 +2891,21 @@ impl Dfms {
             .with_attr("time", self.now().0.to_string())
             .with_attr("nextTxn", self.next_txn.to_string())
             .with_child(flows)
+    }
+
+    /// Drop the runs whose root reached a terminal state from
+    /// `live_runs`, counting each in `finished_runs`. A terminal root
+    /// never leaves its state, so a pruned run is never looked at again.
+    fn prune_finished_runs(&mut self) {
+        let runs = &self.runs;
+        let finished = &mut self.finished_runs;
+        self.live_runs.retain(|id| {
+            let state = runs[id.0 as usize].nodes[0].state;
+            if state.is_terminal() {
+                finished[flow_state_slot(state)] += 1;
+            }
+            !state.is_terminal()
+        });
     }
 
     /// Attach a fresh write-ahead journal at `path`.

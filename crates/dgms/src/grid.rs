@@ -442,16 +442,19 @@ impl DataGrid {
                 Ok(vec![self.emit(EventKind::ObjectRenamed, path, principal, now, detail)])
             }
             PlannedEffect::Checksum { storage, digest, register } => {
-                let expected = {
-                    let obj = self.object(&path)?;
-                    obj.checksum.clone().unwrap_or_else(|| ContentStore::digest(obj.seed, obj.size))
-                };
                 let obj = self.object_mut(&path)?;
                 if register {
                     obj.checksum = Some(digest.clone());
                     let detail = format!("digest={digest} registered");
                     return Ok(vec![self.emit(EventKind::ChecksumVerified, path, principal, now, detail)]);
                 }
+                // Verification compares against the registered digest, or
+                // against the object's pristine content when none is
+                // registered: the only second digest a checksum computes.
+                let expected = match &obj.checksum {
+                    Some(registered) => registered.clone(),
+                    None => ContentStore::digest(obj.seed, obj.size),
+                };
                 if digest == expected {
                     let detail = format!("digest={digest}");
                     Ok(vec![self.emit(EventKind::ChecksumVerified, path, principal, now, detail)])

@@ -221,3 +221,101 @@ fn resource_series_accumulate_over_sim_time() {
     // Ring capacity bounds retention.
     assert!(series.len() <= 64);
 }
+
+/// A flow whose single Execute step runs `secs` simulated seconds.
+fn long_flow(name: &str, secs: u32) -> Flow {
+    FlowBuilder::sequential(name)
+        .step(
+            "run",
+            DglOperation::Execute {
+                code: format!("{name}-job"),
+                nominal_secs: secs.to_string(),
+                resource_type: None,
+                inputs: vec![],
+                outputs: vec![],
+            },
+        )
+        .build()
+        .unwrap()
+}
+
+/// Sample `d` and check every `flows.state` series and `dfms/flows.*`
+/// gauge against a full scan of `flow_summaries()`.
+fn assert_flow_states_match_a_full_scan(d: &mut Dfms, when: &str) {
+    d.sample_telemetry();
+    let summaries = d.flow_summaries();
+    let snapshot = d.metrics_snapshot();
+    for state in [
+        RunState::Pending,
+        RunState::Running,
+        RunState::Paused,
+        RunState::Completed,
+        RunState::Failed,
+        RunState::Stopped,
+        RunState::Skipped,
+    ] {
+        let expected = summaries.iter().filter(|f| f.state == state).count() as i64;
+        let series = d
+            .obs()
+            .ts_series("flows.state", state.as_str())
+            .and_then(|s| s.last());
+        assert_eq!(
+            series,
+            Some(expected),
+            "{when}: flows.state series for {state}"
+        );
+        assert_eq!(
+            snapshot.gauge("dfms", &format!("flows.{state}")),
+            expected,
+            "{when}: dfms/flows.{state}"
+        );
+    }
+}
+
+#[test]
+fn flow_state_counts_equal_a_full_scan_live_and_recovered() {
+    const LABEL: &str = "telemetry-flow-states";
+    let path = std::env::temp_dir().join(format!(
+        "dgf-telemetry-flow-states-{}.dgj",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let mut d = dfms(3);
+    d.attach_journal(&path, LABEL, JournalConfig::default())
+        .unwrap();
+    run_workload(&mut d); // completed
+    let dup = FlowBuilder::sequential("dup")
+        .step("mk", DglOperation::CreateCollection { path: "/w".into() })
+        .build()
+        .unwrap();
+    let failed = d.submit_flow("u", dup).unwrap();
+    d.pump();
+    assert_eq!(d.status(&failed, None).unwrap().state, RunState::Failed);
+    let stopped = d.submit_flow("u", long_flow("halt", 600)).unwrap();
+    let running = d.submit_flow("u", long_flow("slow", 6_000)).unwrap();
+    let start = d.now();
+    d.pump_until(start + Duration::from_secs(60));
+    assert_flow_states_match_a_full_scan(&mut d, "before the stop");
+    // The checkpoint, not a sample, is the first to see the stopped run
+    // finished: its prune must count it too, exactly once.
+    d.stop(&stopped).unwrap();
+    d.checkpoint().unwrap();
+    let pending = d.submit_flow("u", long_flow("later", 60)).unwrap();
+    assert_eq!(d.status(&stopped, None).unwrap().state, RunState::Stopped);
+    assert_eq!(d.status(&running, None).unwrap().state, RunState::Running);
+    assert_eq!(d.status(&pending, None).unwrap().state, RunState::Pending);
+    assert_flow_states_match_a_full_scan(&mut d, "live");
+    drop(d);
+
+    let (mut revived, _) =
+        Dfms::recover(&path, LABEL, JournalConfig::default(), || dfms(3)).unwrap();
+    assert_flow_states_match_a_full_scan(&mut revived, "recovered");
+    // Finish everything: the in-flight runs move into the pruned counts.
+    revived.pump();
+    assert_flow_states_match_a_full_scan(&mut revived, "recovered, drained");
+    let summaries = revived.flow_summaries();
+    assert!(summaries.iter().any(|f| f.state == RunState::Completed));
+    assert!(summaries.iter().all(|f| f.state.is_terminal()));
+    drop(revived);
+    let _ = std::fs::remove_file(&path);
+}
