@@ -35,7 +35,7 @@ fn grow_journal() -> PathBuf {
     let path = dir.join(format!("time-travel-{}.dgj", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let mut d = factory();
-    let config = JournalConfig { checkpoint_every: 0, compact_on_checkpoint: false, ..Default::default() };
+    let config = JournalConfig { checkpoint_every: 0, ..Default::default() };
     d.attach_journal(&path, LABEL, config).unwrap();
     for i in 0..FLOWS {
         d.submit_flow("u", notify_flow(&format!("f{i}"), STEPS)).unwrap();

@@ -393,7 +393,7 @@ impl Dfms {
         self.prune_finished_runs();
         let mut counts = self.finished_runs;
         for id in &self.live_runs {
-            counts[flow_state_slot(self.runs[id.0 as usize].nodes[0].state)] += 1;
+            counts[flow_state_slot(self.runs[id.0 as usize].state())] += 1;
         }
         for (state, count) in FLOW_STATES.into_iter().zip(counts) {
             self.obs.ts_record("flows.state", state.as_str(), count as i64);
@@ -432,16 +432,7 @@ impl Dfms {
         }
         if let Some(cursor) = q.tail_from {
             let tail = self.tail_events(cursor, q.tail_limit.unwrap_or(DEFAULT_TAIL_LIMIT));
-            report.events = tail
-                .events
-                .iter()
-                .map(|e| dgf_dgl::ReportEvent {
-                    time_us: e.time.0,
-                    seq: e.seq,
-                    kind: e.kind.name().to_owned(),
-                    detail: e.kind.detail(),
-                })
-                .collect();
+            report.events = tail.events.iter().map(report_event).collect();
             report.next_cursor = Some(tail.next_cursor);
             report.dropped = Some(tail.dropped);
         }
@@ -567,7 +558,7 @@ impl Dfms {
                 ),
             },
             RequestBody::Telemetry(q) => {
-                let report = self.telemetry_query(&q.clone());
+                let report = self.telemetry_query(q);
                 DataGridResponse::telemetry(&request.id, report)
             }
             RequestBody::Validation(q) => {
@@ -585,15 +576,15 @@ impl Dfms {
                 DataGridResponse::recovery(&request.id, report)
             }
             RequestBody::TimeTravel(q) => {
-                let report = self.time_travel_query(&q.clone());
+                let report = self.time_travel_query(q);
                 DataGridResponse::time_travel(&request.id, report)
             }
             RequestBody::Profile(q) => {
-                let report = self.profile_query(&q.clone());
+                let report = self.profile_query(q);
                 DataGridResponse::profile(&request.id, report)
             }
             RequestBody::Why(q) => {
-                let report = self.why_query(&q.clone());
+                let report = self.why_query(q);
                 DataGridResponse::why(&request.id, report)
             }
             // A standalone engine is not a federation: answer honestly
@@ -776,8 +767,9 @@ impl Dfms {
             let mut specs = Vec::new();
             collect_execute_specs(&spec, "", &mut specs);
             self.obs.prof_enter(Phase::Schedule);
+            let root = Scope::root();
             for (path, step) in specs {
-                if let Some(task) = abstract_task_from_spec(&step, run.vo.clone()) {
+                if let Ok(task) = resolve_task(&step, &root, run.vo.clone()) {
                     let key = format!("{}:{}", run.lineage, path);
                     let _ = self.resolve_binding(&key, &task, None);
                 }
@@ -1107,41 +1099,15 @@ impl Dfms {
         run.stop_requested = true;
         run.deferred.clear();
         run.stop_subtree(NodeId(0), now);
-        let user = run.user.clone();
-        let lineage = run.lineage.clone();
-        let txn_s = run.txn.clone();
-        let root_span = run.nodes[0].span;
-        // Close every span the run still holds open (closing a closed
-        // span is a no-op), so the timeline shows where the stop landed.
-        let open_spans: Vec<SpanContext> = run.nodes.iter().filter_map(|n| n.span).collect();
-        let record = ProvenanceRecord {
-            lineage,
-            transaction: txn_s.clone(),
-            node: "/".into(),
-            name: run.nodes[0].name.clone(),
-            verb: "flow".into(),
-            user,
-            started: run.nodes[0].started,
-            finished: now,
-            outcome: StepOutcome::Stopped,
-            detail: "stopped by lifecycle request".into(),
-            trace_id: root_span.map(|s| s.trace.0),
-            span_id: root_span.map(|s| s.span.0),
-        };
-        if self.journal_transition(|| recovery::transition("provenance").with_child(record.to_element())) {
-            self.provenance.record(record);
-        }
+        // Close every span below the root the run still holds open
+        // (closing a closed span is a no-op), so the timeline shows where
+        // the stop landed. The root's closes with its record.
+        let open_spans: Vec<SpanContext> = run.nodes[1..].iter().filter_map(|n| n.span).collect();
         for ctx in open_spans {
             self.obs.span_end_at(ctx, now);
         }
         self.obs.set_now(now);
-        self.obs.record(ObsKind::ProvenanceWrite {
-            txn: txn_s.clone(),
-            node: "/".into(),
-            verb: "flow".into(),
-            outcome: "stopped".into(),
-        });
-        self.obs.record(ObsKind::RunFinished { txn: txn_s, state: "stopped".into() });
+        self.finish_node(id, NodeId(0), RunState::Stopped, Some("stopped by lifecycle request".into()));
         Ok(())
     }
 
@@ -1263,15 +1229,7 @@ impl Dfms {
         if events.len() > limit {
             events.drain(..events.len() - limit);
         }
-        events
-            .into_iter()
-            .map(|e| dgf_dgl::ReportEvent {
-                time_us: e.time.0,
-                seq: e.seq,
-                kind: e.kind.name().to_owned(),
-                detail: e.kind.detail(),
-            })
-            .collect()
+        events.iter().map(report_event).collect()
     }
 
     /// All metric samples visible to a status query on `txn`: every
@@ -1381,7 +1339,7 @@ impl Dfms {
             match interpolate(&initial, &scope) {
                 Ok(text) => scope.declare(name, Value::from_text(&text)),
                 Err(e) => {
-                    self.fail_node(run_id, node_id, format!("variable {name:?}: {e}"));
+                    self.finish_node(run_id, node_id, RunState::Failed, Some(format!("variable {name:?}: {e}")));
                     return;
                 }
             }
@@ -1409,7 +1367,7 @@ impl Dfms {
         }
         // beforeEntry rules.
         if let Err(e) = self.run_rules(run_id, node_id, dgf_dgl::RULE_BEFORE_ENTRY) {
-            self.fail_node(run_id, node_id, format!("beforeEntry: {e}"));
+            self.finish_node(run_id, node_id, RunState::Failed, Some(format!("beforeEntry: {e}")));
             return;
         }
         let is_step = self.run_ref(run_id).node(node_id).is_step();
@@ -1449,7 +1407,7 @@ impl Dfms {
                 // Materialize every spec child now.
                 let count = self.spec_child_count(run_id, node_id);
                 if count == 0 {
-                    self.complete_node(run_id, node_id, Ok(()));
+                    self.finish_node(run_id, node_id, RunState::Completed, None);
                     return;
                 }
                 if let NodeBody::Flow { cursor, .. } = &mut self.run_mut(run_id).node_mut(node_id).body {
@@ -1465,12 +1423,12 @@ impl Dfms {
                 let items = match self.resolve_items(run_id, node_id, &source) {
                     Ok(items) => items,
                     Err(e) => {
-                        self.fail_node(run_id, node_id, format!("for-each source: {e}"));
+                        self.finish_node(run_id, node_id, RunState::Failed, Some(format!("for-each source: {e}")));
                         return;
                     }
                 };
                 if items.is_empty() {
-                    self.complete_node(run_id, node_id, Ok(()));
+                    self.finish_node(run_id, node_id, RunState::Completed, None);
                     return;
                 }
                 if let NodeBody::Flow { cursor, .. } = &mut self.run_mut(run_id).node_mut(node_id).body {
@@ -1500,7 +1458,7 @@ impl Dfms {
                         exact.or_else(|| cases.iter().position(|c| c.value.is_none()))
                     }
                     Err(e) => {
-                        self.fail_node(run_id, node_id, format!("switch: {e}"));
+                        self.finish_node(run_id, node_id, RunState::Failed, Some(format!("switch: {e}")));
                         return;
                     }
                 };
@@ -1509,7 +1467,7 @@ impl Dfms {
                         let child = self.materialize_spec_child(run_id, node_id, idx);
                         self.queue.schedule_in(Duration::ZERO, Work::Start { run: run_id, node: child });
                     }
-                    None => self.complete_node(run_id, node_id, Ok(())), // no arm matched
+                    None => self.finish_node(run_id, node_id, RunState::Completed, None), // no arm matched
                 }
             }
         }
@@ -1528,7 +1486,7 @@ impl Dfms {
             }
         };
         if next >= count {
-            self.complete_node(run_id, node_id, Ok(()));
+            self.finish_node(run_id, node_id, RunState::Completed, None);
             return;
         }
         if let NodeBody::Flow { cursor: Cursor::Static { next_spec, .. }, .. } =
@@ -1555,11 +1513,8 @@ impl Dfms {
         if iterations >= MAX_LOOP_ITERATIONS {
             let txn = self.run_ref(run_id).txn.clone();
             let path = self.run_ref(run_id).path_of(node_id);
-            self.fail_node(
-                run_id,
-                node_id,
-                DfmsError::IterationLimit { transaction: txn, node: path, limit: MAX_LOOP_ITERATIONS }.to_string(),
-            );
+            let message = DfmsError::IterationLimit { transaction: txn, node: path, limit: MAX_LOOP_ITERATIONS };
+            self.finish_node(run_id, node_id, RunState::Failed, Some(message.to_string()));
             return;
         }
         match cond.eval_bool(&scope) {
@@ -1571,8 +1526,8 @@ impl Dfms {
                 let child = self.materialize_iteration(run_id, node_id, idx, None);
                 self.queue.schedule_in(Duration::ZERO, Work::Start { run: run_id, node: child });
             }
-            Ok(false) => self.complete_node(run_id, node_id, Ok(())),
-            Err(e) => self.fail_node(run_id, node_id, format!("while condition: {e}")),
+            Ok(false) => self.finish_node(run_id, node_id, RunState::Completed, None),
+            Err(e) => self.finish_node(run_id, node_id, RunState::Failed, Some(format!("while condition: {e}"))),
         }
     }
 
@@ -1585,7 +1540,7 @@ impl Dfms {
             }
         };
         if next >= items.len() {
-            self.complete_node(run_id, node_id, Ok(()));
+            self.finish_node(run_id, node_id, RunState::Completed, None);
             return;
         }
         if let NodeBody::Flow { cursor: Cursor::ForEach { next, .. }, .. } =
@@ -1725,7 +1680,7 @@ impl Dfms {
         };
         if is_restart && self.provenance.step_completed(&lineage, &path) {
             self.obs.inc("engine", "steps.skipped.restart");
-            self.skip_node(run_id, node_id, "restart: completed in an earlier transaction");
+            self.finish_node(run_id, node_id, RunState::Skipped, Some("restart: completed in an earlier transaction".into()));
             return;
         }
         // Replay memo: the journal recorded this step as completed before
@@ -1753,7 +1708,7 @@ impl Dfms {
                 Ok(value) => {
                     self.run_mut(run_id).node_mut(node_id).scope.assign(&variable, value);
                     self.obs.inc("engine", "steps.executed");
-                    self.complete_node(run_id, node_id, Ok(()));
+                    self.finish_node(run_id, node_id, RunState::Completed, None);
                 }
                 Err(e) => self.step_failed(run_id, node_id, format!("assign: {e}")),
             },
@@ -1762,7 +1717,7 @@ impl Dfms {
                     let txn = self.run_ref(run_id).txn.clone();
                     self.notifications.push(Notification { time: self.now(), source: txn, message: rendered });
                     self.obs.inc("engine", "steps.executed");
-                    self.complete_node(run_id, node_id, Ok(()));
+                    self.finish_node(run_id, node_id, RunState::Completed, None);
                 }
                 Err(e) => self.step_failed(run_id, node_id, format!("notify: {e}")),
             },
@@ -1782,7 +1737,7 @@ impl Dfms {
                     Ok(items) => {
                         self.run_mut(run_id).node_mut(node_id).scope.assign(&into, Value::List(items));
                         self.obs.inc("engine", "steps.executed");
-                        self.complete_node(run_id, node_id, Ok(()));
+                        self.finish_node(run_id, node_id, RunState::Completed, None);
                     }
                     Err(e) => self.step_failed(run_id, node_id, format!("query: {e}")),
                 }
@@ -1926,7 +1881,7 @@ impl Dfms {
                     self.step_failed(run_id, node_id, format!("integrity violation: {detail}"));
                 } else {
                     self.obs.inc("engine", "steps.executed");
-                    self.complete_node(run_id, node_id, Ok(()));
+                    self.finish_node(run_id, node_id, RunState::Completed, None);
                 }
             }
             Err(e) => {
@@ -2048,53 +2003,12 @@ impl Dfms {
 
     fn start_execute(&mut self, run_id: RunId, node_id: NodeId) {
         let now = self.now();
-        let (spec, scope, vo, lineage, path_id) = {
+        let (task, lineage, path_id) = {
             let run = self.run_ref(run_id);
             let node = run.node(node_id);
-            let spec = match &node.body {
-                NodeBody::Step { spec, .. } => spec.clone(),
-                NodeBody::Flow { .. } => unreachable!(),
-            };
-            (spec, node.scope.clone(), run.vo.clone(), run.lineage.clone(), run.path_of(node_id))
+            let NodeBody::Step { spec, .. } = &node.body else { unreachable!("start_execute on a step") };
+            (resolve_task(spec, &node.scope, run.vo.clone()), run.lineage.clone(), run.path_of(node_id))
         };
-        let DglOperation::Execute { code, nominal_secs, resource_type, inputs, outputs } = &spec.operation else {
-            unreachable!("start_execute on an execute step")
-        };
-        // Resolve the abstract task.
-        let task: Result<AbstractTask, DfmsError> = (|| {
-            let code = interpolate(code, &scope)?;
-            let nominal_text = interpolate(nominal_secs, &scope)?;
-            let nominal = Value::from_text(&nominal_text)
-                .as_f64()
-                .filter(|s| *s >= 0.0)
-                .map(Duration::from_secs_f64)
-                .ok_or_else(|| DfmsError::Dgl(dgf_dgl::DglError::Invalid(format!("bad nominalSecs {nominal_text:?}"))))?;
-            let requirement = match resource_type {
-                None => ResourceReq::default(),
-                Some(spec_text) => {
-                    let rendered = interpolate(spec_text, &scope)?;
-                    ResourceReq::parse(&rendered).ok_or_else(|| {
-                        DfmsError::Dgl(dgf_dgl::DglError::Invalid(format!("bad resourceType {rendered:?}")))
-                    })?
-                }
-            };
-            let inputs = inputs
-                .iter()
-                .map(|i| Ok(LogicalPath::parse(&interpolate(i, &scope)?)?))
-                .collect::<Result<Vec<_>, DfmsError>>()?;
-            let outputs = outputs
-                .iter()
-                .map(|(p, s)| {
-                    let path = LogicalPath::parse(&interpolate(p, &scope)?)?;
-                    let size_text = interpolate(s, &scope)?;
-                    let size = Value::from_text(&size_text).as_i64().filter(|v| *v >= 0).ok_or_else(|| {
-                        DfmsError::Dgl(dgf_dgl::DglError::Invalid(format!("bad output size {size_text:?}")))
-                    })? as u64;
-                    Ok((path, size))
-                })
-                .collect::<Result<Vec<_>, DfmsError>>()?;
-            Ok(AbstractTask { code, nominal, inputs, outputs, requirement, vo })
-        })();
         let task = match task {
             Ok(t) => t,
             Err(e) => {
@@ -2105,7 +2019,7 @@ impl Dfms {
         // Virtual data: skip the derivation if its products exist.
         if self.catalog.lookup(&self.grid, &task.code, &task.inputs).is_some() {
             self.obs.inc("engine", "steps.skipped.virtual");
-            self.skip_node(run_id, node_id, "virtual data: outputs already derived");
+            self.finish_node(run_id, node_id, RunState::Skipped, Some("virtual data: outputs already derived".into()));
             return;
         }
         // Bind (late or early) to concrete infrastructure. The binding
@@ -2309,42 +2223,40 @@ impl Dfms {
         }
         self.catalog.register(&code, &inputs, &output_paths);
         self.obs.inc("engine", "steps.executed");
-        self.complete_node(run_id, node_id, Ok(()));
+        self.finish_node(run_id, node_id, RunState::Completed, None);
     }
 
     // ------------------------------------------------------------------
     // Completion, failure, rules
     // ------------------------------------------------------------------
 
-    fn skip_node(&mut self, run_id: RunId, node_id: NodeId, reason: &str) {
+    /// End a node in `state`. The one place a node ends: its state,
+    /// finish time and message, its afterExit rules (completed and
+    /// failed nodes only), its provenance record and span, the run's end
+    /// when it is the root, and the hand-back to its parent.
+    fn finish_node(&mut self, run_id: RunId, node_id: NodeId, state: RunState, message: Option<String>) {
         let now = self.now();
         {
-            let run = self.run_mut(run_id);
-            let node = run.node_mut(node_id);
-            node.state = RunState::Skipped;
+            let node = self.run_mut(run_id).node_mut(node_id);
+            node.state = state;
             node.finished = now;
-            node.message = Some(reason.to_owned());
+            node.message = message;
         }
-        self.record_node(run_id, node_id, StepOutcome::Skipped);
-        self.child_finished(run_id, node_id, true);
-    }
-
-    fn fail_node(&mut self, run_id: RunId, node_id: NodeId, message: String) {
-        let now = self.now();
-        {
-            let run = self.run_mut(run_id);
-            let node = run.node_mut(node_id);
-            node.state = RunState::Failed;
-            node.finished = now;
-            node.message = Some(message);
+        if matches!(state, RunState::Completed | RunState::Failed) {
+            let _ = self.run_rules(run_id, node_id, dgf_dgl::RULE_AFTER_EXIT);
         }
-        let _ = self.run_rules(run_id, node_id, dgf_dgl::RULE_AFTER_EXIT);
-        self.record_node(run_id, node_id, StepOutcome::Failed);
+        let outcome = match state {
+            RunState::Completed => StepOutcome::Completed,
+            RunState::Failed => StepOutcome::Failed,
+            RunState::Skipped => StepOutcome::Skipped,
+            RunState::Stopped => StepOutcome::Stopped,
+            other => unreachable!("a node ends terminal, not {other}"),
+        };
+        self.record_node(run_id, node_id, outcome);
         if self.run_ref(run_id).node(node_id).parent.is_none() {
-            self.obs.inc("engine", "runs.failed");
-            self.finish_run_obs(run_id, node_id, "failed");
+            self.finish_run(run_id, state);
         }
-        self.child_finished(run_id, node_id, false);
+        self.child_finished(run_id, node_id, state != RunState::Failed);
     }
 
     /// Step-level failure: applies the step's error policy before
@@ -2384,44 +2296,12 @@ impl Dfms {
                     self.queue.schedule_in(Duration::ZERO, Work::Start { run: run_id, node: node_id });
                     return;
                 }
-                self.fail_node(run_id, node_id, format!("{message} (after {max} retries)"));
+                self.finish_node(run_id, node_id, RunState::Failed, Some(format!("{message} (after {max} retries)")));
             }
             dgf_dgl::ErrorPolicy::Ignore => {
-                let now = self.now();
-                {
-                    let run = self.run_mut(run_id);
-                    let node = run.node_mut(node_id);
-                    node.state = RunState::Completed;
-                    node.finished = now;
-                    node.message = Some(format!("ignored failure: {message}"));
-                }
-                let _ = self.run_rules(run_id, node_id, dgf_dgl::RULE_AFTER_EXIT);
-                self.record_node(run_id, node_id, StepOutcome::Completed);
-                self.child_finished(run_id, node_id, true);
+                self.finish_node(run_id, node_id, RunState::Completed, Some(format!("ignored failure: {message}")))
             }
-            dgf_dgl::ErrorPolicy::Fail => self.fail_node(run_id, node_id, message),
-        }
-    }
-
-    fn complete_node(&mut self, run_id: RunId, node_id: NodeId, outcome: Result<(), String>) {
-        match outcome {
-            Ok(()) => {
-                let now = self.now();
-                {
-                    let run = self.run_mut(run_id);
-                    let node = run.node_mut(node_id);
-                    node.state = RunState::Completed;
-                    node.finished = now;
-                }
-                let _ = self.run_rules(run_id, node_id, dgf_dgl::RULE_AFTER_EXIT);
-                self.record_node(run_id, node_id, StepOutcome::Completed);
-                if self.run_ref(run_id).node(node_id).parent.is_none() {
-                    self.obs.inc("engine", "runs.completed");
-                    self.finish_run_obs(run_id, node_id, "completed");
-                }
-                self.child_finished(run_id, node_id, true);
-            }
-            Err(message) => self.fail_node(run_id, node_id, message),
+            dgf_dgl::ErrorPolicy::Fail => self.finish_node(run_id, node_id, RunState::Failed, Some(message)),
         }
     }
 
@@ -2454,11 +2334,8 @@ impl Dfms {
             // policies were already applied).
             let message = self.run_ref(run_id).node(child).message.clone();
             let child_name = self.run_ref(run_id).node(child).name.clone();
-            self.fail_node(
-                run_id,
-                parent,
-                format!("child {child_name:?} failed{}", message.map(|m| format!(": {m}")).unwrap_or_default()),
-            );
+            let message = format!("child {child_name:?} failed{}", message.map(|m| format!(": {m}")).unwrap_or_default());
+            self.finish_node(run_id, parent, RunState::Failed, Some(message));
             return;
         }
         let action = {
@@ -2491,7 +2368,7 @@ impl Dfms {
         };
         match action {
             AfterChild::Wait => {}
-            AfterChild::Complete => self.complete_node(run_id, parent, Ok(())),
+            AfterChild::Complete => self.finish_node(run_id, parent, RunState::Completed, None),
             AfterChild::AdvanceStatic => self.advance_static(run_id, parent),
             AfterChild::AdvanceWhile => {
                 let cond = {
@@ -2586,17 +2463,25 @@ impl Dfms {
         }
     }
 
-    /// Record the terminal flight-recorder event and run-duration sample
-    /// for a root node reaching a terminal state.
-    fn finish_run_obs(&mut self, run_id: RunId, node_id: NodeId, state: &str) {
+    /// The one place a run ends, once its root has reached terminal
+    /// `state` and been recorded: the `runs.completed`/`runs.failed`
+    /// count, the run-duration sample and the terminal flight-recorder
+    /// event; the flow leaves the watchdog, its SLA alert resolves and
+    /// its critical path is derived.
+    fn finish_run(&mut self, run_id: RunId, state: RunState) {
+        match state {
+            RunState::Completed => self.obs.inc("engine", "runs.completed"),
+            RunState::Failed => self.obs.inc("engine", "runs.failed"),
+            _ => {}
+        }
         let run = self.run_ref(run_id);
-        let node = run.node(node_id);
-        let duration = node.finished.since(node.started);
-        let finished = node.finished;
+        let root = &run.nodes[0];
+        let duration = root.finished.since(root.started);
+        let finished = root.finished;
         let txn = run.txn.clone();
-        let root_span = run.nodes[0].span;
+        let root_span = root.span;
         self.obs.observe("engine", "run.duration", duration);
-        self.obs.record(ObsKind::RunFinished { txn: txn.clone(), state: state.into() });
+        self.obs.record(ObsKind::RunFinished { txn: txn.clone(), state: state.as_str().into() });
         // Terminal flows leave the watchdog's watch list.
         self.obs.health_finish(&txn);
         // Resolve the flow's SLA alert: burn freezes at the terminal
@@ -2831,7 +2716,7 @@ impl Dfms {
 
     /// Write a checkpoint — the engine clock, the transaction counter
     /// and a summary of the live runs — and compact the journal behind
-    /// it when the config says so. The checkpoint holds no provenance:
+    /// it. The checkpoint holds no provenance:
     /// every provenance record is journaled once, as a `provenance`
     /// transition that compaction keeps, so a checkpoint costs the same
     /// late in a run as early on. Returns the checkpoint's sequence
@@ -2856,7 +2741,7 @@ impl Dfms {
         self.obs.prof_enter(Phase::JournalAppend);
         let appended = journal.append(el);
         let compacted = match &appended {
-            Ok(seq) if j.config.compact_on_checkpoint => journal.compact(*seq).map(|_| ()),
+            Ok(seq) => journal.compact(*seq).map(|_| ()),
             _ => Ok(()),
         };
         let (sync_calls, sync_nanos) = journal.take_sync_profile();
@@ -2882,7 +2767,7 @@ impl Dfms {
                 Element::new("flow")
                     .with_attr("transaction", &run.txn)
                     .with_attr("lineage", &run.lineage)
-                    .with_attr("state", run.nodes[0].state.to_string())
+                    .with_attr("state", run.state().to_string())
                     .with_attr("stepsCompleted", done.to_string())
                     .with_attr("stepsTotal", total.to_string()),
             );
@@ -2981,8 +2866,8 @@ impl Dfms {
             // ones the crash cut off the tail.
             let journaled = replay.expected.last().map_or(0, |(n, _)| n.saturating_add(1));
             engine.rejournal_provenance(&replay.derived, journaled);
-            // Checkpoint the recovered engine's live runs (and compact
-            // the journal behind it when configured).
+            // Checkpoint the recovered engine's live runs and compact
+            // the journal behind it.
             engine.checkpoint()?;
         }
         let report = engine.recovery_query();
@@ -3198,7 +3083,7 @@ impl Dfms {
             .iter()
             .map(|run| {
                 let (done, total) = run.progress(run.root());
-                let state = run.nodes[0].state;
+                let state = run.state();
                 dgf_dgl::FlowRecovery {
                     transaction: run.txn.clone(),
                     lineage: run.lineage.clone(),
@@ -3283,32 +3168,51 @@ fn collect_execute_specs(flow: &Flow, prefix: &str, out: &mut Vec<(String, Step)
     }
 }
 
-/// Resolve a spec step to an abstract task with an empty scope; steps
-/// whose templates need runtime variables return `None` (bind later).
-fn abstract_task_from_spec(step: &Step, vo: Option<String>) -> Option<AbstractTask> {
+/// Resolve an execute step's templates in `scope` to the abstract task
+/// the scheduler binds. Late binding resolves at step start in the
+/// node's scope; early binding at submission in the root scope, where a
+/// step whose templates need runtime variables does not resolve (it
+/// binds at start instead).
+fn resolve_task(step: &Step, scope: &Scope, vo: Option<String>) -> Result<AbstractTask, DfmsError> {
     let DglOperation::Execute { code, nominal_secs, resource_type, inputs, outputs } = &step.operation else {
-        return None;
+        unreachable!("tasks resolve from execute steps")
     };
-    let scope = Scope::root();
-    let code = interpolate(code, &scope).ok()?;
-    let nominal = Value::from_text(&interpolate(nominal_secs, &scope).ok()?).as_f64().map(Duration::from_secs_f64)?;
+    let code = interpolate(code, scope)?;
+    let nominal_text = interpolate(nominal_secs, scope)?;
+    let nominal = Value::from_text(&nominal_text)
+        .as_f64()
+        .filter(|s| *s >= 0.0)
+        .map(Duration::from_secs_f64)
+        .ok_or_else(|| DfmsError::Dgl(dgf_dgl::DglError::Invalid(format!("bad nominalSecs {nominal_text:?}"))))?;
     let requirement = match resource_type {
         None => ResourceReq::default(),
-        Some(spec_text) => ResourceReq::parse(&interpolate(spec_text, &scope).ok()?)?,
+        Some(spec_text) => {
+            let rendered = interpolate(spec_text, scope)?;
+            ResourceReq::parse(&rendered)
+                .ok_or_else(|| DfmsError::Dgl(dgf_dgl::DglError::Invalid(format!("bad resourceType {rendered:?}"))))?
+        }
     };
     let inputs = inputs
         .iter()
-        .map(|i| interpolate(i, &scope).ok().and_then(|p| LogicalPath::parse(&p).ok()))
-        .collect::<Option<Vec<_>>>()?;
+        .map(|i| Ok(LogicalPath::parse(&interpolate(i, scope)?)?))
+        .collect::<Result<Vec<_>, DfmsError>>()?;
     let outputs = outputs
         .iter()
         .map(|(p, s)| {
-            let path = interpolate(p, &scope).ok().and_then(|x| LogicalPath::parse(&x).ok())?;
-            let size = Value::from_text(&interpolate(s, &scope).ok()?).as_i64().filter(|v| *v >= 0)? as u64;
-            Some((path, size))
+            let path = LogicalPath::parse(&interpolate(p, scope)?)?;
+            let size_text = interpolate(s, scope)?;
+            let size = Value::from_text(&size_text).as_i64().filter(|v| *v >= 0).ok_or_else(|| {
+                DfmsError::Dgl(dgf_dgl::DglError::Invalid(format!("bad output size {size_text:?}")))
+            })? as u64;
+            Ok((path, size))
         })
-        .collect::<Option<Vec<_>>>()?;
-    Some(AbstractTask { code, nominal, inputs, outputs, requirement, vo })
+        .collect::<Result<Vec<_>, DfmsError>>()?;
+    Ok(AbstractTask { code, nominal, inputs, outputs, requirement, vo })
+}
+
+/// A flight-recorder event as the DGL reports carry it.
+fn report_event(e: &dgf_obs::ObsEvent) -> dgf_dgl::ReportEvent {
+    dgf_dgl::ReportEvent { time_us: e.time.0, seq: e.seq, kind: e.kind.name().to_owned(), detail: e.kind.detail() }
 }
 
 // ----------------------------------------------------------------------

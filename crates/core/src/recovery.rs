@@ -75,14 +75,11 @@ pub struct JournalConfig {
     /// (0 disables automatic checkpoints; call [`crate::Dfms::checkpoint`]
     /// yourself).
     pub checkpoint_every: u64,
-    /// Compact the journal at every checkpoint, dropping transitions and
-    /// checkpoints older than the new one.
-    pub compact_on_checkpoint: bool,
 }
 
 impl Default for JournalConfig {
     fn default() -> Self {
-        JournalConfig { sync: SyncPolicy::default(), checkpoint_every: 64, compact_on_checkpoint: true }
+        JournalConfig { sync: SyncPolicy::default(), checkpoint_every: 64 }
     }
 }
 

@@ -92,6 +92,18 @@ impl Run {
         NodeId(0)
     }
 
+    /// The run's state as every report gives it: `Paused` while a pause
+    /// holds a live run, the root's state otherwise. `paused` is the one
+    /// fact; a resumed run reports its root's state again.
+    pub(crate) fn state(&self) -> RunState {
+        let state = self.nodes[0].state;
+        if self.paused && !state.is_terminal() {
+            RunState::Paused
+        } else {
+            state
+        }
+    }
+
     pub(crate) fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.0]
     }
@@ -189,7 +201,7 @@ impl Run {
             transaction: self.txn.clone(),
             node: self.path_of(id),
             name: node.name.clone(),
-            state: node.state,
+            state: if id == self.root() { self.state() } else { node.state },
             steps_completed,
             steps_total,
             message: node.message.clone(),

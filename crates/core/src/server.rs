@@ -315,14 +315,20 @@ impl ServerHandle {
         reply_rx.recv().ok()
     }
 
+    /// Send `request` and parse the answer's body. `None` when the
+    /// server has shut down or the answer does not parse.
+    fn exchange(&self, request: dgf_dgl::DataGridRequest) -> Option<dgf_dgl::ResponseBody> {
+        let response = self.request(&request.to_xml())?;
+        Some(dgf_dgl::parse_response(&response).ok()?.body)
+    }
+
     /// Fetch the grid-global Prometheus-style text scrape over the wire.
     ///
     /// Returns `None` if the server has shut down or answered with
     /// something other than a telemetry report.
     pub fn scrape(&self) -> Option<String> {
-        let xml = dgf_dgl::DataGridRequest::telemetry("scrape", "operator", dgf_dgl::TelemetryQuery::scrape()).to_xml();
-        let response = self.request(&xml)?;
-        match dgf_dgl::parse_response(&response).ok()?.body {
+        let query = dgf_dgl::TelemetryQuery::scrape();
+        match self.exchange(dgf_dgl::DataGridRequest::telemetry("scrape", "operator", query))? {
             dgf_dgl::ResponseBody::Telemetry(report) => report.scrape,
             _ => None,
         }
@@ -339,9 +345,7 @@ impl ServerHandle {
         if let Some(limit) = limit {
             query = query.with_limit(limit);
         }
-        let xml = dgf_dgl::DataGridRequest::telemetry("tail", "operator", query).to_xml();
-        let response = self.request(&xml)?;
-        match dgf_dgl::parse_response(&response).ok()?.body {
+        match self.exchange(dgf_dgl::DataGridRequest::telemetry("tail", "operator", query))? {
             dgf_dgl::ResponseBody::Telemetry(report) => Some(report),
             _ => None,
         }
@@ -351,10 +355,8 @@ impl ServerHandle {
     /// wire pair). Returns `None` if the server has shut down or
     /// answered with something other than a recovery report.
     pub fn recovery(&self) -> Option<dgf_dgl::RecoveryReport> {
-        let xml =
-            dgf_dgl::DataGridRequest::recovery("recovery", "operator", dgf_dgl::RecoveryQuery::report()).to_xml();
-        let response = self.request(&xml)?;
-        match dgf_dgl::parse_response(&response).ok()?.body {
+        let query = dgf_dgl::RecoveryQuery::report();
+        match self.exchange(dgf_dgl::DataGridRequest::recovery("recovery", "operator", query))? {
             dgf_dgl::ResponseBody::Recovery(report) => Some(report),
             _ => None,
         }
@@ -367,9 +369,7 @@ impl ServerHandle {
     /// with `enabled: false`. Returns `None` if the server has shut
     /// down or answered with something other than a time-travel report.
     pub fn time_travel(&self, query: dgf_dgl::TimeTravelQuery) -> Option<dgf_dgl::TimeTravelReport> {
-        let xml = dgf_dgl::DataGridRequest::time_travel("time-travel", "operator", query).to_xml();
-        let response = self.request(&xml)?;
-        match dgf_dgl::parse_response(&response).ok()?.body {
+        match self.exchange(dgf_dgl::DataGridRequest::time_travel("time-travel", "operator", query))? {
             dgf_dgl::ResponseBody::TimeTravel(report) => Some(report),
             _ => None,
         }
@@ -381,9 +381,7 @@ impl ServerHandle {
     /// Returns `None` if the server has shut down or answered with
     /// something other than a profile report.
     pub fn profile(&self, query: dgf_dgl::ProfileQuery) -> Option<dgf_dgl::ProfileReport> {
-        let xml = dgf_dgl::DataGridRequest::profile("profile", "operator", query).to_xml();
-        let response = self.request(&xml)?;
-        match dgf_dgl::parse_response(&response).ok()?.body {
+        match self.exchange(dgf_dgl::DataGridRequest::profile("profile", "operator", query))? {
             dgf_dgl::ResponseBody::Profile(report) => Some(report),
             _ => None,
         }
@@ -395,9 +393,7 @@ impl ServerHandle {
     /// if the server has shut down or answered with something other
     /// than a why report.
     pub fn why(&self, query: dgf_dgl::WhyQuery) -> Option<dgf_dgl::WhyReport> {
-        let xml = dgf_dgl::DataGridRequest::why("why", "operator", query).to_xml();
-        let response = self.request(&xml)?;
-        match dgf_dgl::parse_response(&response).ok()?.body {
+        match self.exchange(dgf_dgl::DataGridRequest::why("why", "operator", query))? {
             dgf_dgl::ResponseBody::Why(report) => Some(report),
             _ => None,
         }

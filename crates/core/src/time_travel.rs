@@ -363,7 +363,7 @@ impl Dfms {
         factory: impl FnOnce() -> Dfms,
     ) -> Result<Materialized, DfmsError> {
         let (records, _open) = Journal::read(path)?;
-        let read_only = JournalConfig { checkpoint_every: 0, compact_on_checkpoint: false, ..JournalConfig::default() };
+        let read_only = JournalConfig { checkpoint_every: 0, ..JournalConfig::default() };
         let (mut engine, replayed) =
             Dfms::replay_journal(factory, "time-travel", records, label, None, read_only, ordinal)?;
         engine.journal = None;

@@ -314,9 +314,18 @@ fn pause_resume_defers_new_steps_only() {
     d.pump();
     let report = d.status(&txn, None).unwrap();
     assert!(report.steps_completed < 3, "paused before finishing: {report}");
-    assert!(!report.state.is_terminal());
-    // Resume and finish.
+    assert_eq!(report.state, RunState::Paused, "{report}");
+    let flows_gauge = |d: &mut Dfms, state: &str| {
+        d.sample_telemetry();
+        d.metrics_snapshot().gauge("dfms", &format!("flows.{state}"))
+    };
+    assert_eq!((flows_gauge(&mut d, "paused"), flows_gauge(&mut d, "running")), (1, 0));
+    assert_eq!(d.flow_summaries()[0].state, RunState::Paused);
+    // Resumed, it reports its earlier state again.
     d.resume(&txn).unwrap();
+    assert_eq!(d.status(&txn, None).unwrap().state, RunState::Running);
+    assert_eq!((flows_gauge(&mut d, "paused"), flows_gauge(&mut d, "running")), (0, 1));
+    // Finish.
     d.pump();
     assert_eq!(d.status(&txn, None).unwrap().state, RunState::Completed);
     assert_eq!(d.status(&txn, None).unwrap().steps_completed, 3);
@@ -356,6 +365,46 @@ fn stop_then_restart_resumes_from_provenance() {
     assert!(lineage_records.iter().any(|r| r.transaction == txn));
     assert!(lineage_records.iter().any(|r| r.transaction == txn2));
     assert!(lineage_records.iter().any(|r| r.outcome == StepOutcome::Skipped));
+}
+
+/// A stopped flow ends through the same path as a failed one: off the
+/// watchdog, its SLA alert resolved, its record counted, its critical
+/// path derived.
+#[test]
+fn a_stopped_flow_ends_like_a_failed_one() {
+    let mut d = dfms();
+    let mut b = FlowBuilder::sequential("halt").with_deadline_secs(600);
+    for i in 0..3 {
+        let job = DglOperation::Execute {
+            code: format!("halt-job{i}"),
+            nominal_secs: "300".into(),
+            resource_type: None,
+            inputs: vec![],
+            outputs: vec![],
+        };
+        b = b.step(format!("s{i}"), job);
+    }
+    let txn = d.submit_flow("u", b.build().unwrap()).unwrap();
+    d.pump_until(SimTime::from_secs(10));
+    d.stop(&txn).unwrap();
+    // Past the 600 s deadline and the watchdog's two-hour stall deadline.
+    d.pump_until(SimTime::ZERO + Duration::from_hours(3));
+    d.sample_telemetry();
+
+    assert_eq!(d.obs().health_flow(&txn), None, "a stopped flow leaves the watchdog");
+    assert_eq!(d.metrics_snapshot().gauge("dfms", "flows_stalled"), 0);
+    let alert = d.obs().why_alert(&txn).expect("the flow has an objective");
+    assert_eq!(alert.state, dgf_dgl::AlertState::Resolved);
+    assert_eq!((alert.fired_at, alert.resolved_at, alert.breached), (None, Some(SimTime::from_secs(10)), false));
+    assert_eq!(d.metrics_snapshot().counter("engine", "sla.firings"), 0);
+    assert_eq!(d.metrics_snapshot().counter("engine", "provenance.writes"), d.provenance().len() as u64);
+    assert_eq!(d.metrics_snapshot().histogram("engine", "run.duration").count, 1);
+    let path = d.obs().why_paths().iter().find(|p| p.txn == txn).expect("a stopped flow has a critical path");
+    assert_eq!(path.segments_sum_us(), path.makespan_us());
+    assert_eq!(path.makespan_us(), 10_000_000);
+    let report = d.status(&txn, None).unwrap();
+    assert_eq!(report.state, RunState::Stopped);
+    assert_eq!(report.message.as_deref(), Some("stopped by lifecycle request"));
 }
 
 #[test]

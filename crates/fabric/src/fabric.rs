@@ -81,9 +81,53 @@ struct FederatedRun {
     span: Option<SpanContext>,
 }
 
+impl FederatedRun {
+    /// A run as its `open` frame defines it, before any hand-off: every
+    /// sub-flow pending on its owning shard, or on `home` when it touches
+    /// no concrete path.
+    fn new(
+        name: String,
+        user: String,
+        home: String,
+        parallel: bool,
+        subs: &[Flow],
+        owners: Vec<Option<String>>,
+    ) -> Self {
+        let subs = subs
+            .iter()
+            .zip(owners)
+            .map(|(sub, owner)| SubFlow {
+                node: sub.name.clone(),
+                flow: sub.clone(),
+                owner: owner.unwrap_or_else(|| home.clone()),
+                child_txn: None,
+                state: RunState::Pending,
+                steps_completed: 0,
+                steps_total: 0,
+                ack_vt: 0,
+                sent: false,
+                acked: false,
+                ack_published: false,
+                span: None,
+            })
+            .collect();
+        let state = RunState::Running;
+        FederatedRun { name, user, home, parallel, state, subs, completed_logged: false, span: None }
+    }
+}
+
 enum Plan {
     Single(String),
-    Federated(Vec<String>),
+    /// Each sub-flow's owner (see [`Fabric::sub_owners`]).
+    Federated(Vec<Option<String>>),
+}
+
+/// The first record of every bus WAL.
+fn bus_genesis(label: &str, shard: &str) -> Element {
+    Element::new("genesis")
+        .with_attr("label", label)
+        .with_attr("shard", shard)
+        .with_attr("bus", "true")
 }
 
 /// A federated multi-shard DfMS: shards, routing, and the bus.
@@ -168,12 +212,7 @@ impl Fabric {
                     "shard {name:?} has an existing bus WAL; boot it with Fabric::recover"
                 )));
             }
-            journal.append(
-                Element::new("genesis")
-                    .with_attr("label", &self.label)
-                    .with_attr("shard", name)
-                    .with_attr("bus", "true"),
-            )?;
+            journal.append(bus_genesis(&self.label, name))?;
             Some(journal)
         } else {
             None
@@ -395,22 +434,9 @@ impl Fabric {
             let composable =
                 matches!(flow.logic.pattern, ControlPattern::Sequential | ControlPattern::Parallel);
             if composable && !subs.is_empty() {
-                let mut owners: Vec<Option<String>> = Vec::with_capacity(subs.len());
-                for sub in subs {
-                    match first_path(sub) {
-                        None => owners.push(None),
-                        Some(path) => owners.push(Some(self.owner_of(&path)?)),
-                    }
-                }
+                let owners = self.sub_owners(subs)?;
                 let distinct: BTreeSet<&String> = owners.iter().flatten().collect();
                 if distinct.len() >= 2 {
-                    let home = owners
-                        .iter()
-                        .flatten()
-                        .next()
-                        .expect("two distinct owners imply at least one")
-                        .clone();
-                    let owners = owners.into_iter().map(|o| o.unwrap_or_else(|| home.clone())).collect();
                     return Ok(Plan::Federated(owners));
                 }
             }
@@ -418,6 +444,13 @@ impl Fabric {
         let path = first_path(flow)
             .ok_or_else(|| FabricError::Dfms(DfmsError::NoRoute("flow touches no logical path".into())))?;
         Ok(Plan::Single(self.owner_of(&path)?))
+    }
+
+    /// The shard owning each sub-flow, in order: `None` for a sub-flow
+    /// that touches no concrete path. Submission and recovery's rebuild
+    /// both derive a federated run's owners here.
+    fn sub_owners(&self, subs: &[Flow]) -> Result<Vec<Option<String>>, FabricError> {
+        subs.iter().map(|sub| first_path(sub).map(|path| self.owner_of(&path)).transpose()).collect()
     }
 
     fn owner_of(&self, path: &str) -> Result<String, FabricError> {
@@ -437,7 +470,7 @@ impl Fabric {
     fn submit_federated(
         &mut self,
         request: DataGridRequest,
-        owners: Vec<String>,
+        owners: Vec<Option<String>>,
     ) -> Result<(String, DataGridResponse), FabricError> {
         let RequestBody::Flow(flow) = &request.body else {
             return Err(FabricError::Config("submit_federated needs a flow body".into()));
@@ -447,7 +480,7 @@ impl Fabric {
         };
         self.fed_counter += 1;
         let txn = format!("x{}", self.fed_counter);
-        let home = owners[0].clone();
+        let home = owners.iter().flatten().next().expect("a federated plan has owners").clone();
         let parallel = matches!(flow.logic.pattern, ControlPattern::Parallel);
         let vt = self.now_of(&home);
 
@@ -465,33 +498,7 @@ impl Fabric {
             .with_child(flow.to_element());
         self.append_bus(&home, open)?;
 
-        let run = FederatedRun {
-            name: flow.name.clone(),
-            user: request.user.clone(),
-            home: home.clone(),
-            parallel,
-            state: RunState::Running,
-            subs: subs
-                .iter()
-                .zip(owners.iter())
-                .map(|(sub, owner)| SubFlow {
-                    node: sub.name.clone(),
-                    flow: sub.clone(),
-                    owner: owner.clone(),
-                    child_txn: None,
-                    state: RunState::Pending,
-                    steps_completed: 0,
-                    steps_total: 0,
-                    ack_vt: 0,
-                    sent: false,
-                    acked: false,
-                    ack_published: false,
-                    span: None,
-                })
-                .collect(),
-            completed_logged: false,
-            span: None,
-        };
+        let run = FederatedRun::new(flow.name.clone(), request.user.clone(), home, parallel, subs, owners);
         self.open_run(txn.clone(), run, vt);
 
         if parallel {
@@ -523,30 +530,24 @@ impl Fabric {
     /// Publish the delegate envelope for sub `i` of federated run
     /// `txn`.
     fn delegate(&mut self, txn: &str, i: usize) -> Result<(), FabricError> {
-        let (home, owner, node, flow, user, parent_span) = {
+        let (home, owner, node, flow, user) = {
             let run = self.fed.get(txn).expect("delegate on a known run");
             let sub = &run.subs[i];
-            (run.home.clone(), sub.owner.clone(), sub.node.clone(), sub.flow.clone(), run.user.clone(), run.span)
+            (run.home.clone(), sub.owner.clone(), sub.node.clone(), sub.flow.clone(), run.user.clone())
         };
-        let vt = self.now_of(&home);
+        let env = self.envelope(home, owner, BusPayload::Delegate { origin: txn.to_owned(), node, user, flow });
+        let vt = env.vt;
+        self.publish(env)?;
+        self.delegate_sent(txn, i, vt);
+        Ok(())
+    }
+
+    /// A new envelope from `from` to `to`, stamped with the sender's
+    /// clock and the next bus sequence number.
+    fn envelope(&mut self, from: String, to: String, payload: BusPayload) -> BusEnvelope {
         let seq = self.bus_seq;
         self.bus_seq += 1;
-        let env = BusEnvelope {
-            seq,
-            vt,
-            from: home,
-            to: owner,
-            payload: BusPayload::Delegate { origin: txn.to_owned(), node, user, flow },
-        };
-        let span = self.obs.span_start_at(SimTime(vt), SpanKind::Request, &env.to_frame_name(), parent_span);
-        self.obs.span_attr(span, "from", &env.from);
-        self.obs.span_attr(span, "to", &env.to);
-        self.publish(env)?;
-        let run = self.fed.get_mut(txn).expect("delegate on a known run");
-        run.subs[i].sent = true;
-        run.subs[i].state = RunState::Running;
-        run.subs[i].span = Some(span);
-        Ok(())
+        BusEnvelope { seq, vt: self.now_of(&from), from, to, payload }
     }
 
     /// Journal the envelope in the sender's bus WAL, then put it in
@@ -607,6 +608,56 @@ impl Fabric {
             self.obs.span_end_at(span, SimTime(vt));
         }
         self.obs.inc("fabric", "federated.settled");
+    }
+
+    /// The delegate for sub-flow `i` of run `txn` went on the bus at
+    /// `vt`: open its hand-off span under the run's and mark it sent.
+    fn delegate_sent(&mut self, txn: &str, i: usize, vt: u64) {
+        let Some(run) = self.fed.get_mut(txn) else { return };
+        let sub = &mut run.subs[i];
+        let name = format!("{txn}/{}", sub.node);
+        let span = self.obs.span_start_at(SimTime(vt), SpanKind::Request, &name, run.span);
+        self.obs.span_attr(span, "from", &run.home);
+        self.obs.span_attr(span, "to", &sub.owner);
+        sub.sent = true;
+        sub.state = RunState::Running;
+        sub.span = Some(span);
+    }
+
+    /// Sub-flow `node` of run `origin` runs as transaction `child` on
+    /// shard `owner`.
+    fn child_known(&mut self, origin: &str, node: &str, child: String, owner: &str) {
+        self.note_txn_home(child.clone(), owner);
+        if let Some(sub) = self.sub_mut(origin, node) {
+            sub.child_txn = Some(child);
+        }
+    }
+
+    /// The ack `env` was applied: its sub-flow takes the child's outcome
+    /// and its hand-off span closes at the ack's virtual time.
+    fn ack_applied(&mut self, env: &BusEnvelope) {
+        let BusPayload::Ack { origin, node, child_txn, state, steps_completed, steps_total } = &env.payload else {
+            unreachable!("ack_applied on an ack")
+        };
+        let Some(run) = self.fed.get_mut(origin) else { return };
+        let Some(sub) = run.subs.iter_mut().find(|s| s.node == *node) else { return };
+        sub.state = *state;
+        sub.steps_completed = *steps_completed;
+        sub.steps_total = *steps_total;
+        sub.ack_vt = env.vt;
+        sub.acked = true;
+        if !child_txn.is_empty() {
+            sub.child_txn = Some(child_txn.clone());
+        }
+        if let Some(span) = sub.span {
+            self.obs.span_attr(span, "state", state.as_str());
+            self.obs.span_end_at(span, SimTime(env.vt));
+        }
+    }
+
+    /// Sub-flow `node` of federated run `txn`, found by name.
+    fn sub_mut(&mut self, txn: &str, node: &str) -> Option<&mut SubFlow> {
+        self.fed.get_mut(txn)?.subs.iter_mut().find(|s| s.node == node)
     }
 
     // ------------------------------------------------------------------
@@ -688,15 +739,10 @@ impl Fabric {
                 if !status.state.is_terminal() {
                     continue;
                 }
-                let vt = self.now_of(&owner);
-                let seq = self.bus_seq;
-                self.bus_seq += 1;
-                let env = BusEnvelope {
-                    seq,
-                    vt,
-                    from: owner,
-                    to: home,
-                    payload: BusPayload::Ack {
+                let env = self.envelope(
+                    owner,
+                    home,
+                    BusPayload::Ack {
                         origin: txn.clone(),
                         node,
                         child_txn: child,
@@ -704,7 +750,7 @@ impl Fabric {
                         steps_completed: status.steps_completed as u64,
                         steps_total: status.steps_total as u64,
                     },
-                };
+                );
                 self.publish(env)?;
                 self.fed.get_mut(&txn).expect("scanned run exists").subs[i].ack_published = true;
                 progressed = true;
@@ -755,12 +801,7 @@ impl Fabric {
                 if let Some(existing) =
                     shard.engine.first_txn_of_lineage(&lineage).map(str::to_owned)
                 {
-                    self.note_txn_home(existing.clone(), &env.to);
-                    if let Some(run) = self.fed.get_mut(origin) {
-                        if let Some(sub) = run.subs.iter_mut().find(|s| s.node == *node) {
-                            sub.child_txn = Some(existing);
-                        }
-                    }
+                    self.child_known(origin, node, existing, &env.to);
                     return Ok(());
                 }
                 match shard.engine.submit_flow_with(
@@ -768,77 +809,41 @@ impl Fabric {
                     flow.clone(),
                     RunOptions { lineage: Some(lineage), ..RunOptions::default() },
                 ) {
-                    Ok(child) => {
-                        self.note_txn_home(child.clone(), &env.to);
-                        if let Some(run) = self.fed.get_mut(origin) {
-                            if let Some(sub) = run.subs.iter_mut().find(|s| s.node == *node) {
-                                sub.child_txn = Some(child);
-                            }
-                        }
-                    }
+                    Ok(child) => self.child_known(origin, node, child, &env.to),
                     Err(_) => {
                         // Submission refused (lint gate, unknown user,
                         // ...): the sub-flow failed before it ran.
                         // Report it over the bus like any other outcome
                         // so the home shard journals the verdict.
-                        let vt = self.now_of(&env.to);
-                        let seq = self.bus_seq;
-                        self.bus_seq += 1;
-                        let origin_txn = origin.clone();
-                        let home = self
-                            .fed
-                            .get(&origin_txn)
-                            .map(|r| r.home.clone())
-                            .unwrap_or_else(|| env.from.clone());
-                        let ack = BusEnvelope {
-                            seq,
-                            vt,
-                            from: env.to.clone(),
-                            to: home,
-                            payload: BusPayload::Ack {
-                                origin: origin_txn.clone(),
+                        let home = self.fed.get(origin).map(|r| r.home.clone()).unwrap_or_else(|| env.from.clone());
+                        let ack = self.envelope(
+                            env.to.clone(),
+                            home,
+                            BusPayload::Ack {
+                                origin: origin.clone(),
                                 node: node.clone(),
                                 child_txn: String::new(),
                                 state: RunState::Failed,
                                 steps_completed: 0,
                                 steps_total: 0,
                             },
-                        };
+                        );
                         self.publish(ack)?;
-                        if let Some(run) = self.fed.get_mut(&origin_txn) {
-                            if let Some(sub) = run.subs.iter_mut().find(|s| s.node == *node) {
-                                sub.ack_published = true;
-                            }
+                        if let Some(sub) = self.sub_mut(origin, node) {
+                            sub.ack_published = true;
                         }
                     }
                 }
                 Ok(())
             }
-            BusPayload::Ack { ref origin, ref node, ref child_txn, state, steps_completed, steps_total } => {
+            BusPayload::Ack { ref origin, .. } => {
                 // Virtual-time barrier on the home engine too, so every
                 // shard's clock respects the bus order.
-                let home = env.to.clone();
-                if let Some(shard) = self.shards.get_mut(&home) {
+                if let Some(shard) = self.shards.get_mut(&env.to) {
                     shard.engine.pump_until(SimTime(env.vt));
                 }
-                let origin_txn = origin.clone();
-                if let Some(run) = self.fed.get_mut(&origin_txn) {
-                    if let Some(sub) = run.subs.iter_mut().find(|s| s.node == *node) {
-                        sub.state = state;
-                        sub.steps_completed = steps_completed;
-                        sub.steps_total = steps_total;
-                        sub.ack_vt = env.vt;
-                        sub.acked = true;
-                        if !child_txn.is_empty() {
-                            sub.child_txn = Some(child_txn.clone());
-                        }
-                        if let Some(span) = sub.span {
-                            self.obs.span_attr(span, "state", state.as_str());
-                            self.obs.span_end_at(span, SimTime(env.vt));
-                        }
-                    }
-                }
-                self.advance(&origin_txn)
+                self.ack_applied(&env);
+                self.advance(origin)
             }
         }
     }
@@ -1069,12 +1074,7 @@ impl Fabric {
             let (mut journal, records, _) = Journal::open(&bus_path, config.sync)?;
             let frames = match records.first() {
                 None => {
-                    journal.append(
-                        Element::new("genesis")
-                            .with_attr("label", label)
-                            .with_attr("shard", name)
-                            .with_attr("bus", "true"),
-                    )?;
+                    journal.append(bus_genesis(label, name))?;
                     Vec::new()
                 }
                 Some(genesis) if genesis.kind == RecordKind::Genesis => {
@@ -1156,89 +1156,46 @@ impl Fabric {
             self.bus_seq = self.bus_seq.max(seq + 1);
             let frame_received = recvs.contains_key(&seq);
             match &env.payload {
-                BusPayload::Delegate { origin, node, user: _, flow: _ } => {
+                BusPayload::Delegate { origin, node, .. } => {
+                    // Mark the sender side regardless: the send frame
+                    // proves the delegate was published.
+                    if let Some(i) = self.fed.get(origin).and_then(|r| r.subs.iter().position(|s| s.node == *node)) {
+                        self.delegate_sent(origin, i, vt);
+                    }
                     let lineage = format!("fed:{origin}/{node}");
                     let child = self
                         .shards
                         .get(&env.to)
                         .and_then(|s| s.engine.first_txn_of_lineage(&lineage))
                         .map(str::to_owned);
-                    // Mark the sender side regardless: the send frame
-                    // proves the delegate was published.
-                    let parent_span = self.fed.get(origin).and_then(|r| r.span);
-                    let span = self.obs.span_start_at(
-                        SimTime(vt),
-                        SpanKind::Request,
-                        &env.to_frame_name(),
-                        parent_span,
-                    );
-                    self.obs.span_attr(span, "from", &env.from);
-                    self.obs.span_attr(span, "to", &env.to);
-                    if let Some(run) = self.fed.get_mut(origin) {
-                        if let Some(sub) = run.subs.iter_mut().find(|s| s.node == *node) {
-                            sub.sent = true;
-                            sub.state = RunState::Running;
-                            sub.span = Some(span);
-                        }
-                    }
                     match (frame_received, child) {
                         (true, Some(child)) => {
                             // Fully applied.
                             self.note_delivered(&env.to);
-                            self.note_txn_home(child.clone(), &env.to);
-                            let origin = origin.clone();
-                            let node = node.clone();
-                            if let Some(run) = self.fed.get_mut(&origin) {
-                                if let Some(sub) = run.subs.iter_mut().find(|s| s.node == node) {
-                                    sub.child_txn = Some(child);
-                                }
-                            }
+                            self.child_known(origin, node, child, &env.to);
                         }
                         _ => {
                             // Never delivered, or the frame landed but
                             // the apply was lost: back in flight.
-                            self.in_flight.insert((vt, seq), env.clone());
+                            self.in_flight.insert((vt, seq), env);
                         }
                     }
                 }
-                BusPayload::Ack { origin, node, child_txn, state, steps_completed, steps_total } => {
+                BusPayload::Ack { origin, node, child_txn, .. } => {
                     // The ack's entire effect is recorded in the frame
                     // itself, so the receiver-side frame is the whole
                     // applied-ness story.
-                    let origin = origin.clone();
-                    if let Some(run) = self.fed.get_mut(&origin) {
-                        if let Some(sub) = run.subs.iter_mut().find(|s| s.node == *node) {
-                            sub.ack_published = true;
-                        }
+                    if let Some(sub) = self.sub_mut(origin, node) {
+                        sub.ack_published = true;
                     }
                     if frame_received {
                         self.note_delivered(&env.to);
                         if !child_txn.is_empty() {
                             self.note_txn_home(child_txn.clone(), &env.from);
                         }
-                        let (state, done, total) = (*state, *steps_completed, *steps_total);
-                        let node = node.clone();
-                        let child_txn = child_txn.clone();
-                        let mut span_to_close = None;
-                        if let Some(run) = self.fed.get_mut(&origin) {
-                            if let Some(sub) = run.subs.iter_mut().find(|s| s.node == node) {
-                                sub.state = state;
-                                sub.steps_completed = done;
-                                sub.steps_total = total;
-                                sub.ack_vt = vt;
-                                sub.acked = true;
-                                if !child_txn.is_empty() {
-                                    sub.child_txn = Some(child_txn);
-                                }
-                                span_to_close = sub.span;
-                            }
-                        }
-                        if let Some(span) = span_to_close {
-                            self.obs.span_attr(span, "state", state.as_str());
-                            self.obs.span_end_at(span, SimTime(vt));
-                        }
+                        self.ack_applied(&env);
                     } else {
-                        self.in_flight.insert((vt, seq), env.clone());
+                        self.in_flight.insert((vt, seq), env);
                     }
                 }
             }
@@ -1271,41 +1228,8 @@ impl Fabric {
         let Children::Flows(subs) = &flow.children else {
             return Err(FabricError::BadFrame("open frame flow has no sub-flows".into()));
         };
-        // Re-derive the owners exactly as submission did.
-        let mut owners: Vec<Option<String>> = Vec::with_capacity(subs.len());
-        for sub in subs {
-            match first_path(sub) {
-                None => owners.push(None),
-                Some(path) => owners.push(Some(self.owner_of(&path)?)),
-            }
-        }
-        let run = FederatedRun {
-            name: flow.name.clone(),
-            user,
-            home: home.to_owned(),
-            parallel,
-            state: RunState::Running,
-            subs: subs
-                .iter()
-                .zip(owners)
-                .map(|(sub, owner)| SubFlow {
-                    node: sub.name.clone(),
-                    flow: sub.clone(),
-                    owner: owner.unwrap_or_else(|| home.to_owned()),
-                    child_txn: None,
-                    state: RunState::Pending,
-                    steps_completed: 0,
-                    steps_total: 0,
-                    ack_vt: 0,
-                    sent: false,
-                    acked: false,
-                    ack_published: false,
-                    span: None,
-                })
-                .collect(),
-            completed_logged: false,
-            span: None,
-        };
+        let owners = self.sub_owners(subs)?;
+        let run = FederatedRun::new(flow.name.clone(), user, home.to_owned(), parallel, subs, owners);
         if let Some(n) = txn.strip_prefix('x').and_then(|n| n.parse::<u64>().ok()) {
             self.fed_counter = self.fed_counter.max(n);
         }
@@ -1337,17 +1261,6 @@ impl Fabric {
             self.advance(&txn)?;
         }
         Ok(())
-    }
-}
-
-impl BusEnvelope {
-    /// The display name a hand-off span gets: `origin/node`.
-    fn to_frame_name(&self) -> String {
-        match &self.payload {
-            BusPayload::Delegate { origin, node, .. } | BusPayload::Ack { origin, node, .. } => {
-                format!("{origin}/{node}")
-            }
-        }
     }
 }
 

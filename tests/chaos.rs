@@ -396,9 +396,14 @@ fn crash_during_paused_flow_recovers_paused() {
     std::fs::copy(&ref_path, &crash_path).unwrap();
     Journal::truncate_records(&crash_path, pause_at + 1).unwrap();
     let (mut revived, report) = Dfms::recover(&crash_path, LABEL, config, || dfms(4, 7)).unwrap();
-    assert_eq!(report.replay.unwrap().divergences, 0);
-    // The recovered t1 is genuinely paused: resume succeeds (it errors
-    // on anything not paused), and the run then drains to completion.
+    assert_eq!(report.replay.as_ref().unwrap().divergences, 0);
+    // The recovered t1 reports paused, in its status and in the
+    // recovery report.
+    assert_eq!(revived.status("t1", None).unwrap().state, RunState::Paused);
+    let t1 = report.flows.iter().find(|f| f.transaction == "t1").unwrap();
+    assert_eq!((t1.state, t1.resumed), (RunState::Paused, true));
+    // It is genuinely paused: resume succeeds (it errors on anything
+    // not paused), and the run then drains to completion.
     revived.resume("t1").expect("t1 recovered in the paused state");
     revived.pump();
     assert_eq!(revived.status("t1", None).unwrap().state, RunState::Completed);
@@ -767,6 +772,13 @@ fn kill_at_every_bus_message_boundary_recovers_byte_identically() {
     let txns = fed_script(&mut reference).unwrap();
     assert_eq!(txns, vec!["x1".to_owned(), "x2".to_owned()]);
     let expected = fed_fingerprint(&reference, &txns);
+    let expected_report = reference.federation_report(&FederationQuery::report()).to_element().to_xml_pretty();
+    let bus_counters = |fabric: &Fabric| {
+        let snap = fabric.obs().snapshot();
+        ["bus.published", "bus.delivered", "federated.submitted", "federated.settled"]
+            .map(|name| (name, snap.counter("fabric", name)))
+    };
+    let expected_counters = bus_counters(&reference);
     let deliveries = reference.deliveries();
     assert!(deliveries >= 8, "scenario too small to be interesting: {deliveries} deliveries");
 
@@ -798,6 +810,14 @@ fn kill_at_every_bus_message_boundary_recovers_byte_identically() {
             );
             let report = revived.federation_report(&FederationQuery::report());
             assert_eq!(report.bus.in_flight, 0, "kill at delivery {k} ({point:?}): bus never drained");
+            // The whole federation, hand-off table and bus position
+            // included, and the fabric's own counters.
+            assert_eq!(
+                report.to_element().to_xml_pretty(),
+                expected_report,
+                "kill at delivery {k}/{deliveries} ({point:?}): federation report"
+            );
+            assert_eq!(bus_counters(&revived), expected_counters, "kill at delivery {k} ({point:?})");
             for (name, _) in FED_SHARDS {
                 assert_no_leaks(revived.engine(name).unwrap());
             }
@@ -830,7 +850,8 @@ fn sla_flow(name: &str, steps: usize, secs: u32, deadline: u32) -> Flow {
 
 /// Alerts through every lifecycle edge: t1 meets its deadline (pending
 /// → resolved, never fired); t2 blows through its 180 s budget while
-/// paused and resumed (pending → firing → resolved, breached).
+/// paused and resumed (pending → firing → resolved, breached); t3 is
+/// stopped inside its budget (pending → resolved at the stop).
 fn alert_script() -> Vec<Cmd> {
     vec![
         Cmd::Submit(sla_flow("sla-meet", 1, 60, 600)), // t1
@@ -840,6 +861,9 @@ fn alert_script() -> Vec<Cmd> {
         Cmd::Pause("t2"),
         Cmd::PumpUntil(600),
         Cmd::Resume("t2"),
+        Cmd::Submit(sla_flow("sla-halt", 3, 300, 900)), // t3
+        Cmd::PumpUntil(700),
+        Cmd::Stop("t3"), // t3 resolves at the stop, within budget
         Cmd::Pump, // t2 resolves, breached
     ]
 }
@@ -863,6 +887,8 @@ fn crash_replays_alert_lifecycles_identically() {
     let report = reference.why_query(&WhyQuery::new());
     assert!(report.alerts.iter().any(|a| a.breached && a.fired_at_us.is_some()), "{report}");
     assert!(report.alerts.iter().any(|a| !a.breached && a.fired_at_us.is_none()), "{report}");
+    let halted = report.alerts.iter().find(|a| a.flow == "sla-halt").expect("t3 has an objective");
+    assert_eq!((halted.resolved_at_us, halted.fired_at_us), (Some(700_000_000), None), "{report}");
     assert_attribution_invariant(&reference);
 
     // Alert transitions are first-class journal records.

@@ -154,11 +154,7 @@ proptest! {
     /// And `diff(a, a)` is empty at genesis, midpoint, and end.
     #[test]
     fn recover_to_end_matches_full_recovery(script in script_strategy(), checkpoint in 0u64..5) {
-        let config = JournalConfig {
-            checkpoint_every: checkpoint,
-            compact_on_checkpoint: checkpoint > 0,
-            ..Default::default()
-        };
+        let config = JournalConfig { checkpoint_every: checkpoint, ..Default::default() };
         let path = grow_journal("prop-full", &script, config);
 
         // Read-only materializations first (recover() writes a fresh
@@ -211,9 +207,9 @@ proptest! {
 
 #[test]
 fn bisect_stays_inside_the_probe_budget_and_is_exact() {
-    // No compaction, so the journal keeps every derived transition and
-    // the record count bounds the ordinal count from above.
-    let config = JournalConfig { checkpoint_every: 0, compact_on_checkpoint: false, ..Default::default() };
+    // No checkpoint, so no compaction: the journal keeps every derived
+    // transition and the record count bounds the ordinal count from above.
+    let config = JournalConfig { checkpoint_every: 0, ..Default::default() };
     let path = temp_journal("bisect");
     let mut d = dfms(3, 7);
     d.attach_journal(&path, LABEL, config).unwrap();
