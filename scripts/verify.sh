@@ -48,12 +48,14 @@ for crate in dgf-simgrid dgf-dgms dgf-journal dgf-scheduler dgf-triggers; do
     fi
 done
 
-# Console gate: the two examples that print MD5 digests, and the
-# federation and crash-recovery consoles, must print exactly the bytes
+# Console gate: the two examples that print MD5 digests, the
+# federation and crash-recovery consoles, and the two ILM star builders
+# (parallel and sequential for-each) must print exactly the bytes
 # pinned in tests/example_golden/. There is no regeneration switch: a
 # change to their output means editing the golden file by hand in the
 # same commit.
-for example in quickstart ucsd_md5_integrity dgf_fabric dgf_recover; do
+for example in quickstart ucsd_md5_integrity dgf_fabric dgf_recover \
+    bbsrc_imploding_star cms_exploding_star; do
     if ! cargo run -q --example "$example" | cmp -s - "tests/example_golden/$example.stdout"; then
         echo "verify: $example stdout differs from tests/example_golden/$example.stdout" >&2
         cargo run -q --example "$example" | diff - "tests/example_golden/$example.stdout" | head -20 >&2 || true

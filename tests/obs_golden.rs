@@ -6,12 +6,15 @@
 //! placements replayed: `scheduler/binding.replays`), a self-feeding
 //! trigger cut off by the cascade-depth limit
 //! (`triggers/suppressed.depth`), a trigger whose condition errors
-//! (`triggers/condition.errors`) and a BEFORE trigger. Three renderings
-//! of the result are pinned byte for byte in `tests/obs_golden/`:
+//! (`triggers/condition.errors`) and a BEFORE trigger. Two more flows
+//! pin the interpreter: one nests every control pattern, and one has a
+//! parallel node with exactly one failing child. Four renderings of the
+//! result are pinned byte for byte in `tests/obs_golden/`:
 //!
 //! * `metrics.txt` — `Dfms::metrics_snapshot().to_text()`;
 //! * `scrape.txt` — `Dfms::telemetry_scrape()`;
-//! * `trace.json` — the Chrome trace-event export of every span.
+//! * `trace.json` — the Chrome trace-event export of every span;
+//! * `provenance.xml` — `ProvenanceStore::snapshot()`.
 //!
 //! To regenerate after an intentional change:
 //!
@@ -102,8 +105,80 @@ fn scenario() -> Dfms {
     let txn = d.submit_flow("u", seed).unwrap();
     d.pump_until_terminal(&txn);
     d.pump();
+
+    // Every control pattern, nested, and a parallel node with exactly
+    // one failing child.
+    let txn = d.submit_flow("u", nested()).unwrap();
+    d.pump_until_terminal(&txn);
+    let split = FlowBuilder::sequential("split")
+        .flow(
+            FlowBuilder::parallel("halves")
+                .flow(Flow::sequence("good", vec![Step::new("mk", DglOperation::CreateCollection { path: "/split".into() })]))
+                .flow(Flow::sequence("bad", vec![Step::new("drop", DglOperation::Delete { path: "/split-missing".into() })]))
+                .build()
+                .unwrap(),
+        )
+        .build()
+        .unwrap();
+    let txn = d.submit_flow("u", split).unwrap();
+    d.pump_until_terminal(&txn);
+    d.pump();
     d.sample_telemetry();
     d
+}
+
+/// A sequential flow nesting every control pattern: a parallel fan-out
+/// (one empty parallel among its arms), a while loop that an `assign`
+/// write-back runs for three iterations, sequential, concurrent and
+/// empty for-eachs, a switch that takes a matching arm and one that
+/// takes its default, and a step whose failure is ignored.
+fn nested() -> Flow {
+    let note = |name: &str, message: &str| Step::new(name, DglOperation::Notify { message: message.into() });
+    let arm = |name: &str| Flow::sequence(name, vec![note("say", name)]);
+    let switch = |name: &str, on: &str| {
+        FlowBuilder::switch(name, on)
+            .unwrap()
+            .case("a", arm("arm-a"))
+            .case("b", arm("arm-b"))
+            .default_case(arm("arm-other"))
+            .build()
+            .unwrap()
+    };
+    FlowBuilder::sequential("nested")
+        .flow(Flow::sequence("setup", vec![Step::new("mk", DglOperation::CreateCollection { path: "/nest".into() })]))
+        .flow(
+            FlowBuilder::parallel("fan")
+                .flow(Flow::sequence("left", vec![Step::new("put", ingest("/nest/left"))]))
+                .flow(Flow::sequence("right", vec![Step::new("put", ingest("/nest/right"))]))
+                .flow(FlowBuilder::parallel("idle").build().unwrap())
+                .build()
+                .unwrap(),
+        )
+        .flow(
+            FlowBuilder::while_loop("count", "i < 3")
+                .unwrap()
+                .var("i", "0")
+                .step("bump", DglOperation::Assign { variable: "i".into(), expr: Expr::parse("i + 1").unwrap() })
+                .build()
+                .unwrap(),
+        )
+        .flow(FlowBuilder::for_each_items("each", "item", ["x", "y", "z"]).add_step(note("say", "seq ${item}")).build().unwrap())
+        .flow(
+            FlowBuilder::for_each_items("each-par", "item", ["p", "q"])
+                .concurrent()
+                .step("put", ingest("/nest/${item}"))
+                .build()
+                .unwrap(),
+        )
+        .flow(FlowBuilder::for_each_items("none", "item", Vec::<String>::new()).add_step(note("never", "no items")).build().unwrap())
+        .flow(switch("pick", "'b'"))
+        .flow(switch("fallback", "'zzz'"))
+        .flow(Flow::sequence(
+            "tolerant",
+            vec![Step::new("drop", DglOperation::Delete { path: "/nest/missing".into() }).with_error_policy(ErrorPolicy::Ignore)],
+        ))
+        .build()
+        .unwrap()
 }
 
 #[test]
@@ -114,6 +189,7 @@ fn observability_output_matches_goldens() {
         ("metrics.txt", d.metrics_snapshot().to_text()),
         ("scrape.txt", d.telemetry_scrape()),
         ("trace.json", d.obs().export_chrome_trace()),
+        ("provenance.xml", d.provenance().snapshot()),
     ] {
         let path = golden_dir().join(name);
         if update {
@@ -143,4 +219,13 @@ fn scenario_reaches_every_pinned_path() {
     assert_eq!(c("triggers", "condition.errors"), 3, "every /echo ingest errors `tiered`");
     assert_eq!(d.triggers().stats().fired, c("triggers", "fired"));
     assert!(d.notifications().iter().any(|n| n.source == "trigger:gate"), "the BEFORE trigger fired");
+    let outcomes = |name: &str| -> Vec<StepOutcome> {
+        d.provenance().records().iter().filter(|r| r.name == name).map(|r| r.outcome).collect()
+    };
+    assert_eq!(outcomes("nested"), [StepOutcome::Completed]);
+    assert_eq!(outcomes("bump").len(), 3, "the while loop runs three iterations");
+    assert_eq!(outcomes("arm-b"), [StepOutcome::Completed]);
+    assert_eq!(outcomes("arm-other"), [StepOutcome::Completed], "the unmatched switch takes its default");
+    assert_eq!(outcomes("halves"), [StepOutcome::Failed], "one failing child fails the parallel node once");
+    assert_eq!(outcomes("split"), [StepOutcome::Failed]);
 }
