@@ -4,11 +4,11 @@
 use crate::error::DfmsError;
 use crate::provenance::{ProvenanceRecord, ProvenanceStore, StepOutcome};
 use crate::recovery::{self, EngineJournal, JournalConfig, ReplayState};
-use crate::run::{Cursor, NodeBody, NodeId, Run, RunId, RunOptions};
+use crate::run::{NodeBody, NodeId, Run, RunId, RunOptions};
 use dgf_journal::Journal;
 use dgf_xml::Element;
 use dgf_dgl::{
-    interpolate, Children, ControlPattern, DataGridRequest, DataGridResponse, DglOperation, Expr,
+    interpolate, Children, ControlPattern, DataGridRequest, DataGridResponse, DglOperation,
     Flow, FlowStatusQuery, IterSource, RequestAck, RequestBody, RequestMode, RunState, Scope,
     StatusReport, Step, TelemetryQuery, TelemetryReport, UserDefinedRule, ValidationReport, Value,
 };
@@ -752,20 +752,14 @@ impl Dfms {
             nodes: Vec::new(),
             deferred: Vec::new(),
         };
-        let name = flow.name.clone();
-        let cursor = initial_cursor(&flow.logic.pattern);
-        run.alloc(None, 0, name, NodeBody::Flow { spec: flow, children: Vec::new(), cursor });
+        run.alloc(None, flow.name.clone(), NodeBody::flow(flow));
         // Early binding (Pegasus-style up-front planning): pin a
         // placement for every statically addressable execute step now,
         // against the grid's *current* state. Loop bodies and templated
         // steps cannot be pre-planned and fall back to bind-at-start.
         if self.binding.mode() == dgf_scheduler::BindingMode::Early {
-            let spec = match &run.nodes[0].body {
-                NodeBody::Flow { spec, .. } => spec.clone(),
-                NodeBody::Step { .. } => unreachable!(),
-            };
             let mut specs = Vec::new();
-            collect_execute_specs(&spec, "", &mut specs);
+            collect_execute_specs(&run.flow(run.root()).spec, "", &mut specs);
             self.obs.prof_enter(Phase::Schedule);
             let root = Scope::root();
             for (path, step) in specs {
@@ -943,15 +937,7 @@ impl Dfms {
     /// number of events processed.
     pub fn pump(&mut self) -> usize {
         let el = self.should_journal().then(|| recovery::command("pump"));
-        self.with_command(el, |e| {
-            let mut n = 0;
-            while !e.replay_halted() {
-                let Some((_, work)) = e.queue.pop() else { break };
-                n += 1;
-                e.dispatch(work);
-            }
-            n
-        })
+        self.with_command(el, |e| e.drain(|_| true))
     }
 
     /// Process events until `txn`'s root is terminal (or the queue runs
@@ -959,12 +945,7 @@ impl Dfms {
     /// when only `IlmDue` work remains.
     pub fn pump_until_terminal(&mut self, txn: &str) {
         let el = self.should_journal().then(|| recovery::command("pumpTxn").with_attr("txn", txn));
-        self.with_command(el, |e| {
-            while !e.is_terminal(txn) && !e.replay_halted() {
-                let Some((_, work)) = e.queue.pop() else { break };
-                e.dispatch(work);
-            }
-        })
+        self.with_command(el, |e| e.drain(|e| !e.is_terminal(txn)));
     }
 
     /// Process events with timestamps `<= until`.
@@ -973,12 +954,7 @@ impl Dfms {
             .should_journal()
             .then(|| recovery::command("pumpUntil").with_attr("until", until.0.to_string()));
         self.with_command(el, |e| {
-            let mut n = 0;
-            while !e.replay_halted() && e.queue.next_time().map(|t| t <= until).unwrap_or(false) {
-                let (_, work) = e.queue.pop().expect("peeked");
-                n += 1;
-                e.dispatch(work);
-            }
+            let n = e.drain(|e| e.queue.next_time().is_some_and(|t| t <= until));
             // A halted time-travel replay must not advance the clock past
             // the limiting transition — "state at ordinal o" includes the
             // clock reading at that derivation.
@@ -991,6 +967,19 @@ impl Dfms {
             }
             n
         })
+    }
+
+    /// The event loop: pop and dispatch queued work while `more` holds,
+    /// until the queue runs dry or a time-travel replay halts. Returns
+    /// the number of events processed.
+    fn drain(&mut self, more: impl Fn(&Self) -> bool) -> usize {
+        let mut n = 0;
+        while !self.replay_halted() && more(self) {
+            let Some((_, work)) = self.queue.pop() else { break };
+            n += 1;
+            self.dispatch(work);
+        }
+        n
     }
 
     /// Advance SLA alert lifecycles to the engine clock: every pending
@@ -1054,6 +1043,9 @@ impl Dfms {
             return Err(DfmsError::BadLifecycle { transaction: txn.to_owned(), action: "pause", state: state.to_string() });
         }
         run.paused = true;
+        // A paused flow makes no progress by design: the watchdog stops
+        // watching it until it resumes.
+        self.obs.health_finish(txn);
         Ok(())
     }
 
@@ -1074,9 +1066,16 @@ impl Dfms {
             });
         }
         run.paused = false;
+        // In-flight work may have ended the run while it was paused.
+        let live = !run.nodes[0].state.is_terminal();
         let deferred = std::mem::take(&mut run.deferred);
         for work in deferred {
             self.queue.schedule_in(Duration::ZERO, work);
+        }
+        if live {
+            // Watched again, with the resume counting as progress.
+            self.obs.set_now(self.now());
+            self.obs.health_register(txn);
         }
         Ok(())
     }
@@ -1126,10 +1125,7 @@ impl Dfms {
         if !matches!(state, RunState::Stopped | RunState::Failed) {
             return Err(DfmsError::BadLifecycle { transaction: txn.to_owned(), action: "restart", state: state.to_string() });
         }
-        let spec = match &run.nodes[0].body {
-            NodeBody::Flow { spec, .. } => spec.clone(),
-            NodeBody::Step { .. } => unreachable!("roots are flows"),
-        };
+        let spec = run.flow(run.root()).spec.clone();
         let user = run.user.clone();
         let lineage = run.lineage.clone();
         let options = RunOptions { lineage: Some(lineage), ..run.options.clone() };
@@ -1331,7 +1327,7 @@ impl Dfms {
             let run = self.run_ref(run_id);
             let node = run.node(node_id);
             match &node.body {
-                NodeBody::Flow { spec, .. } => spec.variables.iter().map(|v| (v.name.clone(), v.initial.clone())).collect(),
+                NodeBody::Flow(flow) => flow.spec.variables.iter().map(|v| (v.name.clone(), v.initial.clone())).collect(),
                 NodeBody::Step { spec, .. } => spec.variables.iter().map(|v| (v.name.clone(), v.initial.clone())).collect(),
             }
         };
@@ -1393,260 +1389,96 @@ impl Dfms {
     // Flow control patterns
     // ------------------------------------------------------------------
 
+    /// Start flow node `node_id`: resolve a for-each's items, then
+    /// launch its first child, or every child at once for a parallel
+    /// node or a concurrent for-each, which then count them down.
     fn start_flow(&mut self, run_id: RunId, node_id: NodeId) {
-        let pattern = {
-            let run = self.run_ref(run_id);
-            match &run.node(node_id).body {
-                NodeBody::Flow { spec, .. } => spec.logic.pattern.clone(),
-                NodeBody::Step { .. } => unreachable!(),
+        let spec = &self.run_ref(run_id).flow(node_id).spec;
+        let resolved = match &spec.logic.pattern {
+            ControlPattern::Parallel => Ok((Vec::new(), spec.children.len())),
+            ControlPattern::ForEach { source, parallel, .. } => self
+                .resolve_items(run_id, node_id, source)
+                .map(|items| {
+                    let width = if *parallel { items.len() } else { 1 };
+                    (items, width)
+                }),
+            _ => Ok((Vec::new(), 1)),
+        };
+        let (items, width) = match resolved {
+            Ok(resolved) => resolved,
+            Err(e) => {
+                self.finish_node(run_id, node_id, RunState::Failed, Some(format!("for-each source: {e}")));
+                return;
             }
         };
-        match pattern {
-            ControlPattern::Sequential => self.advance_static(run_id, node_id),
-            ControlPattern::Parallel => {
-                // Materialize every spec child now.
-                let count = self.spec_child_count(run_id, node_id);
-                if count == 0 {
-                    self.finish_node(run_id, node_id, RunState::Completed, None);
-                    return;
-                }
-                if let NodeBody::Flow { cursor, .. } = &mut self.run_mut(run_id).node_mut(node_id).body {
-                    *cursor = Cursor::Static { next_spec: count, outstanding: count, parallel: true };
-                }
-                for i in 0..count {
-                    let child = self.materialize_spec_child(run_id, node_id, i);
-                    self.queue.schedule_in(Duration::ZERO, Work::Start { run: run_id, node: child });
-                }
-            }
-            ControlPattern::While(cond) => self.advance_while(run_id, node_id, &cond),
-            ControlPattern::ForEach { var, source, parallel } => {
-                let items = match self.resolve_items(run_id, node_id, &source) {
-                    Ok(items) => items,
-                    Err(e) => {
-                        self.finish_node(run_id, node_id, RunState::Failed, Some(format!("for-each source: {e}")));
-                        return;
-                    }
-                };
-                if items.is_empty() {
-                    self.finish_node(run_id, node_id, RunState::Completed, None);
-                    return;
-                }
-                if let NodeBody::Flow { cursor, .. } = &mut self.run_mut(run_id).node_mut(node_id).body {
-                    *cursor = Cursor::ForEach { items: items.clone(), next: 0, outstanding: 0, parallel };
-                }
-                if parallel {
-                    for (i, item) in items.iter().enumerate() {
-                        let child = self.materialize_iteration(run_id, node_id, i, Some((var.clone(), item.clone())));
-                        self.queue.schedule_in(Duration::ZERO, Work::Start { run: run_id, node: child });
-                    }
-                    if let NodeBody::Flow { cursor: Cursor::ForEach { next, outstanding, .. }, .. } =
-                        &mut self.run_mut(run_id).node_mut(node_id).body
-                    {
-                        *next = items.len();
-                        *outstanding = items.len();
-                    }
-                } else {
-                    self.dispatch_next_foreach(run_id, node_id, var);
-                }
-            }
-            ControlPattern::Switch { on, cases } => {
-                let scope = self.run_ref(run_id).node(node_id).scope.clone();
-                let selected = match on.eval(&scope) {
-                    Ok(v) => {
-                        let text = v.to_string();
-                        let exact = cases.iter().position(|c| c.value.as_deref() == Some(text.as_str()));
-                        exact.or_else(|| cases.iter().position(|c| c.value.is_none()))
-                    }
-                    Err(e) => {
-                        self.finish_node(run_id, node_id, RunState::Failed, Some(format!("switch: {e}")));
-                        return;
-                    }
-                };
-                match selected {
-                    Some(idx) => {
-                        let child = self.materialize_spec_child(run_id, node_id, idx);
-                        self.queue.schedule_in(Duration::ZERO, Work::Start { run: run_id, node: child });
-                    }
-                    None => self.finish_node(run_id, node_id, RunState::Completed, None), // no arm matched
-                }
-            }
+        let flow = self.run_mut(run_id).flow_mut(node_id);
+        flow.items = items;
+        flow.outstanding = width;
+        // An empty parallel node still needs one call to end.
+        for _ in 0..width.max(1) {
+            self.advance(run_id, node_id);
         }
     }
 
-    /// Sequential dispatch: materialize and start the next spec child,
-    /// or complete the flow.
-    fn advance_static(&mut self, run_id: RunId, node_id: NodeId) {
-        let (next, count) = {
-            let run = self.run_ref(run_id);
-            match &run.node(node_id).body {
-                NodeBody::Flow { cursor: Cursor::Static { next_spec, .. }, spec, .. } => {
-                    (*next_spec, spec_children_len(spec))
+    /// Launch flow node `node_id`'s next child, child number
+    /// `children.len()`: spec child *i* of a sequential or parallel
+    /// node, the chosen arm of a switch, or a loop iteration. When the
+    /// pattern has no child left to launch, end the node instead.
+    fn advance(&mut self, run_id: RunId, node_id: NodeId) {
+        let run = self.run_ref(run_id);
+        let flow = run.flow(node_id);
+        let scope = &run.node(node_id).scope;
+        let next = flow.children.len();
+        let spec = &flow.spec;
+        let launch = match &spec.logic.pattern {
+            ControlPattern::Sequential | ControlPattern::Parallel => Ok(spec_child(spec, next)),
+            ControlPattern::Switch { .. } if next > 0 => Ok(None),
+            ControlPattern::Switch { on, cases } => match on.eval(scope) {
+                Ok(value) => {
+                    let text = value.to_string();
+                    let exact = cases.iter().position(|c| c.value.as_deref() == Some(text.as_str()));
+                    let arm = exact.or_else(|| cases.iter().position(|c| c.value.is_none()));
+                    Ok(arm.and_then(|arm| spec_child(spec, arm)))
                 }
-                _ => unreachable!("advance_static on a static flow"),
+                Err(e) => Err(format!("switch: {e}")),
+            },
+            ControlPattern::While(_) if next as u64 >= MAX_LOOP_ITERATIONS => {
+                let (transaction, node) = (run.txn.clone(), run.path_of(node_id));
+                Err(DfmsError::IterationLimit { transaction, node, limit: MAX_LOOP_ITERATIONS }.to_string())
             }
+            ControlPattern::While(cond) => match cond.eval_bool(scope) {
+                Ok(more) => Ok(more.then(|| iteration(spec, next, None))),
+                Err(e) => Err(format!("while condition: {e}")),
+            },
+            ControlPattern::ForEach { var, .. } => Ok(flow.items.get(next).map(|item| iteration(spec, next, Some((var, item))))),
         };
-        if next >= count {
-            self.finish_node(run_id, node_id, RunState::Completed, None);
-            return;
-        }
-        if let NodeBody::Flow { cursor: Cursor::Static { next_spec, .. }, .. } =
-            &mut self.run_mut(run_id).node_mut(node_id).body
-        {
-            *next_spec += 1;
-        }
-        let child = self.materialize_spec_child(run_id, node_id, next);
-        self.queue.schedule_in(Duration::ZERO, Work::Start { run: run_id, node: child });
-    }
-
-    /// While loop: re-check the condition; unroll the next iteration or
-    /// finish.
-    fn advance_while(&mut self, run_id: RunId, node_id: NodeId, cond: &Expr) {
-        let (iterations, scope) = {
-            let run = self.run_ref(run_id);
-            let node = run.node(node_id);
-            let iterations = match &node.body {
-                NodeBody::Flow { cursor: Cursor::While { iterations }, .. } => *iterations,
-                _ => 0,
-            };
-            (iterations, node.scope.clone())
-        };
-        if iterations >= MAX_LOOP_ITERATIONS {
-            let txn = self.run_ref(run_id).txn.clone();
-            let path = self.run_ref(run_id).path_of(node_id);
-            let message = DfmsError::IterationLimit { transaction: txn, node: path, limit: MAX_LOOP_ITERATIONS };
-            self.finish_node(run_id, node_id, RunState::Failed, Some(message.to_string()));
-            return;
-        }
-        match cond.eval_bool(&scope) {
-            Ok(true) => {
-                if let NodeBody::Flow { cursor, .. } = &mut self.run_mut(run_id).node_mut(node_id).body {
-                    *cursor = Cursor::While { iterations: iterations + 1 };
-                }
-                let idx = iterations as usize;
-                let child = self.materialize_iteration(run_id, node_id, idx, None);
+        match launch {
+            Ok(Some((name, body))) => {
+                let child = self.run_mut(run_id).alloc(Some(node_id), name, body);
                 self.queue.schedule_in(Duration::ZERO, Work::Start { run: run_id, node: child });
             }
-            Ok(false) => self.finish_node(run_id, node_id, RunState::Completed, None),
-            Err(e) => self.finish_node(run_id, node_id, RunState::Failed, Some(format!("while condition: {e}"))),
+            Ok(None) => self.finish_node(run_id, node_id, RunState::Completed, None),
+            Err(message) => self.finish_node(run_id, node_id, RunState::Failed, Some(message)),
         }
     }
 
-    fn dispatch_next_foreach(&mut self, run_id: RunId, node_id: NodeId, var: String) {
-        let (next, items) = {
-            let run = self.run_ref(run_id);
-            match &run.node(node_id).body {
-                NodeBody::Flow { cursor: Cursor::ForEach { next, items, .. }, .. } => (*next, items.clone()),
-                _ => unreachable!(),
-            }
-        };
-        if next >= items.len() {
-            self.finish_node(run_id, node_id, RunState::Completed, None);
-            return;
-        }
-        if let NodeBody::Flow { cursor: Cursor::ForEach { next, .. }, .. } =
-            &mut self.run_mut(run_id).node_mut(node_id).body
-        {
-            *next += 1;
-        }
-        let child = self.materialize_iteration(run_id, node_id, next, Some((var, items[next].clone())));
-        self.queue.schedule_in(Duration::ZERO, Work::Start { run: run_id, node: child });
-    }
-
-    /// Clone spec child `idx` of `parent` into a runtime node.
-    fn materialize_spec_child(&mut self, run_id: RunId, parent: NodeId, idx: usize) -> NodeId {
-        let (body, name, runtime_idx) = {
-            let run = self.run_ref(run_id);
-            match &run.node(parent).body {
-                NodeBody::Flow { spec, children, .. } => {
-                    let runtime_idx = children.len();
-                    // Clone only the selected child spec — cloning the
-                    // whole parent spec would make wide flows quadratic.
-                    match &spec.children {
-                        Children::Flows(flows) => {
-                            let f = flows[idx].clone();
-                            let name = f.name.clone();
-                            let cursor = initial_cursor(&f.logic.pattern);
-                            (NodeBody::Flow { spec: f, children: Vec::new(), cursor }, name, runtime_idx)
-                        }
-                        Children::Steps(steps) => {
-                            let s = steps[idx].clone();
-                            let name = s.name.clone();
-                            (NodeBody::Step { spec: s, attempts: 0 }, name, runtime_idx)
-                        }
-                    }
-                }
-                NodeBody::Step { .. } => unreachable!(),
-            }
-        };
-        let run = self.run_mut(run_id);
-        let id = run.alloc(Some(parent), runtime_idx, name, body);
-        if let NodeBody::Flow { children, .. } = &mut run.node_mut(parent).body {
-            children.push(id);
-        }
-        id
-    }
-
-    /// Create an iteration wrapper: a sequential flow cloning the
-    /// parent's spec children, optionally binding a loop variable.
-    fn materialize_iteration(
-        &mut self,
-        run_id: RunId,
-        parent: NodeId,
-        iteration: usize,
-        bind: Option<(String, String)>,
-    ) -> NodeId {
-        let (children_spec, runtime_idx) = {
-            let run = self.run_ref(run_id);
-            match &run.node(parent).body {
-                NodeBody::Flow { spec, children, .. } => (spec.children.clone(), children.len()),
-                NodeBody::Step { .. } => unreachable!(),
-            }
-        };
-        let mut wrapper = Flow {
-            name: format!("iter{iteration}"),
-            variables: Vec::new(),
-            logic: dgf_dgl::FlowLogic::sequential(),
-            children: children_spec,
-        };
-        if let Some((var, item)) = bind {
-            // Bind via a variable declaration; values are plain strings
-            // (paths, names) so no interpolation hazards.
-            wrapper.variables.push(dgf_dgl::VarDecl::new(var, item));
-        }
-        let cursor = initial_cursor(&wrapper.logic.pattern);
-        let name = wrapper.name.clone();
-        let run = self.run_mut(run_id);
-        let id = run.alloc(Some(parent), runtime_idx, name, NodeBody::Flow { spec: wrapper, children: Vec::new(), cursor });
-        if let NodeBody::Flow { children, .. } = &mut run.node_mut(parent).body {
-            children.push(id);
-        }
-        id
-    }
-
-    fn spec_child_count(&self, run_id: RunId, node_id: NodeId) -> usize {
-        match &self.run_ref(run_id).node(node_id).body {
-            NodeBody::Flow { spec, .. } => spec_children_len(spec),
-            NodeBody::Step { .. } => 0,
-        }
-    }
-
-    fn resolve_items(&mut self, run_id: RunId, node_id: NodeId, source: &IterSource) -> Result<Vec<String>, DfmsError> {
-        let scope = self.run_ref(run_id).node(node_id).scope.clone();
+    fn resolve_items(&self, run_id: RunId, node_id: NodeId, source: &IterSource) -> Result<Vec<String>, DfmsError> {
+        let scope = &self.run_ref(run_id).node(node_id).scope;
         match source {
             IterSource::Items(templates) => templates
                 .iter()
-                .map(|t| interpolate(t, &scope).map_err(DfmsError::from))
+                .map(|t| interpolate(t, scope).map_err(DfmsError::from))
                 .collect(),
             IterSource::Collection(template) => {
-                let raw = interpolate(template, &scope)?;
+                let raw = interpolate(template, scope)?;
                 let path = LogicalPath::parse(&raw).map_err(DfmsError::from)?;
                 Ok(self.grid.query(&path, &MetaQuery::Any).iter().map(|p| p.to_string()).collect())
             }
             IterSource::Query { collection, attribute, value } => {
-                let raw = interpolate(collection, &scope)?;
+                let raw = interpolate(collection, scope)?;
                 let path = LogicalPath::parse(&raw).map_err(DfmsError::from)?;
-                let attribute = interpolate(attribute, &scope)?;
-                let value = interpolate(value, &scope)?;
+                let attribute = interpolate(attribute, scope)?;
+                let value = interpolate(value, scope)?;
                 Ok(self
                     .grid
                     .query(&path, &MetaQuery::Eq(attribute, value))
@@ -1654,16 +1486,11 @@ impl Dfms {
                     .map(|p| p.to_string())
                     .collect())
             }
-            IterSource::Variable(name) => {
-                let v = scope
-                    .get(name)
-                    .cloned()
-                    .ok_or_else(|| DfmsError::Dgl(dgf_dgl::DglError::UnknownVariable(name.clone())))?;
-                match v {
-                    Value::List(items) => Ok(items.iter().map(|i| i.to_string()).collect()),
-                    other => Ok(vec![other.to_string()]),
-                }
-            }
+            IterSource::Variable(name) => match scope.get(name) {
+                Some(Value::List(items)) => Ok(items.iter().map(|i| i.to_string()).collect()),
+                Some(other) => Ok(vec![other.to_string()]),
+                None => Err(DfmsError::Dgl(dgf_dgl::DglError::UnknownVariable(name.clone()))),
+            },
         }
     }
 
@@ -1697,11 +1524,7 @@ impl Dfms {
         }
         let (op, scope) = {
             let run = self.run_ref(run_id);
-            let node = run.node(node_id);
-            match &node.body {
-                NodeBody::Step { spec, .. } => (spec.operation.clone(), node.scope.clone()),
-                NodeBody::Flow { .. } => unreachable!(),
-            }
+            (run.step(node_id).operation.clone(), run.node(node_id).scope.clone())
         };
         match op {
             DglOperation::Assign { variable, expr } => match expr.eval(&scope) {
@@ -2005,9 +1828,8 @@ impl Dfms {
         let now = self.now();
         let (task, lineage, path_id) = {
             let run = self.run_ref(run_id);
-            let node = run.node(node_id);
-            let NodeBody::Step { spec, .. } = &node.body else { unreachable!("start_execute on a step") };
-            (resolve_task(spec, &node.scope, run.vo.clone()), run.lineage.clone(), run.path_of(node_id))
+            let scope = &run.node(node_id).scope;
+            (resolve_task(run.step(node_id), scope, run.vo.clone()), run.lineage.clone(), run.path_of(node_id))
         };
         let task = match task {
             Ok(t) => t,
@@ -2262,25 +2084,15 @@ impl Dfms {
     /// Step-level failure: applies the step's error policy before
     /// escalating.
     fn step_failed(&mut self, run_id: RunId, node_id: NodeId, message: String) {
-        let policy = {
-            let run = self.run_ref(run_id);
-            match &run.node(node_id).body {
-                NodeBody::Step { spec, .. } => spec.on_error,
-                NodeBody::Flow { .. } => dgf_dgl::ErrorPolicy::Fail,
+        let (policy, attempts) = match &mut self.run_mut(run_id).node_mut(node_id).body {
+            NodeBody::Step { spec, attempts } => {
+                *attempts += 1;
+                (spec.on_error, *attempts)
             }
+            NodeBody::Flow(_) => (dgf_dgl::ErrorPolicy::Fail, 0),
         };
         match policy {
             dgf_dgl::ErrorPolicy::Retry(max) => {
-                let attempts = {
-                    let run = self.run_mut(run_id);
-                    match &mut run.node_mut(node_id).body {
-                        NodeBody::Step { attempts, .. } => {
-                            *attempts += 1;
-                            *attempts
-                        }
-                        NodeBody::Flow { .. } => unreachable!(),
-                    }
-                };
                 if attempts <= max {
                     self.obs.inc("engine", "step.retries");
                     {
@@ -2305,98 +2117,49 @@ impl Dfms {
         }
     }
 
-    /// Propagate a child's completion into its parent's cursor.
+    /// Hand a finished child to its parent: write its scope back (all
+    /// but the parallel patterns), fail the parent, count down (parallel
+    /// patterns), or advance. A parent that has already ended — a
+    /// parallel node failed by an earlier child — takes nothing more:
+    /// its late children are recorded, but end nothing.
     fn child_finished(&mut self, run_id: RunId, child: NodeId, success: bool) {
-        let Some(parent) = self.run_ref(run_id).node(child).parent else {
+        let run = self.run_ref(run_id);
+        let Some(parent) = run.node(child).parent else {
             return; // root finished
         };
-        // Scope write-back for sequential contexts: assignments made by
-        // the child become visible to later siblings and loop conditions.
-        let sequential_parent = {
-            let run = self.run_ref(run_id);
-            matches!(
-                &run.node(parent).body,
-                NodeBody::Flow { cursor: Cursor::Static { parallel: false, .. }, .. }
-                    | NodeBody::Flow { cursor: Cursor::While { .. }, .. }
-                    | NodeBody::Flow { cursor: Cursor::ForEach { parallel: false, .. }, .. }
-                    | NodeBody::Flow { cursor: Cursor::Switch, .. }
-            )
-        };
-        if sequential_parent {
-            let mut child_scope = self.run_ref(run_id).node(child).scope.clone();
+        if run.node(parent).state.is_terminal() {
+            return;
+        }
+        let parallel = matches!(
+            run.flow(parent).spec.logic.pattern,
+            ControlPattern::Parallel | ControlPattern::ForEach { parallel: true, .. }
+        );
+        // Assignments made by the child become visible to later siblings
+        // and loop conditions.
+        if !parallel {
+            let mut child_scope = run.node(child).scope.clone();
             if child_scope.depth() > 1 {
                 child_scope.pop();
                 self.run_mut(run_id).node_mut(parent).scope = child_scope;
             }
         }
         if !success {
-            // A failed/stopped child fails the whole parent (step-level
-            // policies were already applied).
-            let message = self.run_ref(run_id).node(child).message.clone();
-            let child_name = self.run_ref(run_id).node(child).name.clone();
-            let message = format!("child {child_name:?} failed{}", message.map(|m| format!(": {m}")).unwrap_or_default());
+            // A failed child fails the whole parent (step-level policies
+            // were already applied).
+            let child = self.run_ref(run_id).node(child);
+            let detail = child.message.as_ref().map(|m| format!(": {m}")).unwrap_or_default();
+            let message = format!("child {:?} failed{detail}", child.name);
             self.finish_node(run_id, parent, RunState::Failed, Some(message));
             return;
         }
-        let action = {
-            let run = self.run_mut(run_id);
-            match &mut run.node_mut(parent).body {
-                NodeBody::Flow { cursor, .. } => match cursor {
-                    Cursor::Static { parallel: false, .. } => AfterChild::AdvanceStatic,
-                    Cursor::Static { parallel: true, outstanding, .. } => {
-                        *outstanding -= 1;
-                        if *outstanding == 0 {
-                            AfterChild::Complete
-                        } else {
-                            AfterChild::Wait
-                        }
-                    }
-                    Cursor::While { .. } => AfterChild::AdvanceWhile,
-                    Cursor::ForEach { parallel: false, .. } => AfterChild::AdvanceForEach,
-                    Cursor::ForEach { parallel: true, outstanding, .. } => {
-                        *outstanding -= 1;
-                        if *outstanding == 0 {
-                            AfterChild::Complete
-                        } else {
-                            AfterChild::Wait
-                        }
-                    }
-                    Cursor::Switch => AfterChild::Complete,
-                },
-                NodeBody::Step { .. } => unreachable!("steps have no children"),
-            }
-        };
-        match action {
-            AfterChild::Wait => {}
-            AfterChild::Complete => self.finish_node(run_id, parent, RunState::Completed, None),
-            AfterChild::AdvanceStatic => self.advance_static(run_id, parent),
-            AfterChild::AdvanceWhile => {
-                let cond = {
-                    let run = self.run_ref(run_id);
-                    match &run.node(parent).body {
-                        NodeBody::Flow { spec, .. } => match &spec.logic.pattern {
-                            ControlPattern::While(c) => c.clone(),
-                            _ => unreachable!(),
-                        },
-                        NodeBody::Step { .. } => unreachable!(),
-                    }
-                };
-                self.advance_while(run_id, parent, &cond);
-            }
-            AfterChild::AdvanceForEach => {
-                let var = {
-                    let run = self.run_ref(run_id);
-                    match &run.node(parent).body {
-                        NodeBody::Flow { spec, .. } => match &spec.logic.pattern {
-                            ControlPattern::ForEach { var, .. } => var.clone(),
-                            _ => unreachable!(),
-                        },
-                        NodeBody::Step { .. } => unreachable!(),
-                    }
-                };
-                self.dispatch_next_foreach(run_id, parent, var);
+        if parallel {
+            let flow = self.run_mut(run_id).flow_mut(parent);
+            flow.outstanding -= 1;
+            if flow.outstanding > 0 {
+                return;
             }
         }
+        self.advance(run_id, parent);
     }
 
     fn record_node(&mut self, run_id: RunId, node_id: NodeId, outcome: StepOutcome) {
@@ -2409,7 +2172,7 @@ impl Dfms {
         let run = self.run_ref(run_id);
         let node = run.node(node_id);
         let verb = match &node.body {
-            NodeBody::Flow { .. } => "flow".to_owned(),
+            NodeBody::Flow(_) => "flow".to_owned(),
             NodeBody::Step { spec, .. } => spec.operation.verb().to_owned(),
         };
         let span = node.span;
@@ -2530,7 +2293,7 @@ impl Dfms {
             let run = self.run_ref(run_id);
             let node = run.node(node_id);
             let rules = match &node.body {
-                NodeBody::Flow { spec, .. } => &spec.logic.rules,
+                NodeBody::Flow(flow) => &flow.spec.logic.rules,
                 NodeBody::Step { spec, .. } => &spec.rules,
             };
             rules.iter().filter(|r| r.name == rule_name).cloned().collect()
@@ -2645,17 +2408,12 @@ impl Dfms {
     /// engine down mid-flow: it is counted on the `journal` metrics
     /// scope and execution proceeds (unjournaled until the disk heals).
     fn journal_append_command(&mut self, el: Element) {
-        let Some(j) = self.journal.as_mut() else { return };
-        let Some(journal) = j.journal.as_mut() else { return };
-        self.obs.prof_enter(Phase::JournalAppend);
-        let ok = journal.append(el).is_ok();
-        let (sync_calls, sync_nanos) = journal.take_sync_profile();
-        if ok {
-            j.commands_since_checkpoint += 1;
-        }
-        self.obs.prof_record_leaf(Phase::JournalFsync, sync_calls, sync_nanos);
-        self.obs.prof_exit(Phase::JournalAppend);
-        if !ok {
+        let appended = self.journal_write(|j| {
+            let appended = j.journal.as_mut()?.append(el).is_ok();
+            j.commands_since_checkpoint += u64::from(appended);
+            Some(appended)
+        });
+        if appended.flatten() == Some(false) {
             self.obs.inc("journal", "errors");
         }
     }
@@ -2667,24 +2425,28 @@ impl Dfms {
     /// apply: `false` only once a time-travel replay has derived past
     /// its ordinal limit (callers then suppress the provenance write).
     fn journal_transition(&mut self, body: impl FnOnce() -> Element) -> bool {
-        if self.journal.is_none() {
-            return true;
-        }
-        // A phase scope around the write *and* the fsyncs it triggered.
-        self.obs.prof_enter(Phase::JournalAppend);
-        let j = self.journal.as_mut().expect("checked above");
-        let result = j.on_transition(body());
-        let (sync_calls, sync_nanos) =
-            j.journal.as_mut().map(Journal::take_sync_profile).unwrap_or((0, 0));
-        self.obs.prof_record_leaf(Phase::JournalFsync, sync_calls, sync_nanos);
-        self.obs.prof_exit(Phase::JournalAppend);
-        match result {
-            Ok(apply) => apply,
-            Err(_) => {
+        match self.journal_write(|j| j.on_transition(body())) {
+            None => true,
+            Some(Ok(apply)) => apply,
+            Some(Err(_)) => {
                 self.obs.inc("journal", "errors");
                 true
             }
         }
+    }
+
+    /// Run `write` on the attached journal inside the `journal-append`
+    /// phase, then record the fsyncs it triggered as that phase's
+    /// `journal-fsync` leaf. `None`, and no phase entered, when no
+    /// journal is attached.
+    fn journal_write<T>(&mut self, write: impl FnOnce(&mut EngineJournal) -> T) -> Option<T> {
+        let j = self.journal.as_mut()?;
+        self.obs.prof_enter(Phase::JournalAppend);
+        let out = write(j);
+        let (sync_calls, sync_nanos) = j.journal.as_mut().map_or((0, 0), Journal::take_sync_profile);
+        self.obs.prof_record_leaf(Phase::JournalFsync, sync_calls, sync_nanos);
+        self.obs.prof_exit(Phase::JournalAppend);
+        Some(out)
     }
 
     /// Has a time-travel replay derived past its ordinal limit? Pump
@@ -2728,27 +2490,24 @@ impl Dfms {
     /// if the compaction behind it fails; that failure is still
     /// returned.
     pub fn checkpoint(&mut self) -> Result<Option<u64>, DfmsError> {
-        match self.journal.as_ref() {
-            None => return Ok(None),
-            Some(j) if j.replay.is_some() => return Ok(None),
-            Some(_) => {}
+        if self.journal.as_ref().is_none_or(|j| j.replay.is_some()) {
+            return Ok(None);
         }
         let el = self.checkpoint_element();
-        let j = self.journal.as_mut().expect("checked above");
-        let Some(journal) = j.journal.as_mut() else { return Ok(None) };
-        // No `?` between the phase enter and exit: a failed append or
-        // compact must still close the scope.
-        self.obs.prof_enter(Phase::JournalAppend);
-        let appended = journal.append(el);
-        let compacted = match &appended {
-            Ok(seq) => journal.compact(*seq).map(|_| ()),
-            _ => Ok(()),
-        };
-        let (sync_calls, sync_nanos) = journal.take_sync_profile();
-        self.obs.prof_record_leaf(Phase::JournalFsync, sync_calls, sync_nanos);
-        self.obs.prof_exit(Phase::JournalAppend);
+        let written = self.journal_write(|j| {
+            let journal = j.journal.as_mut()?;
+            let appended = journal.append(el);
+            let compacted = match &appended {
+                Ok(seq) => journal.compact(*seq).map(|_| ()),
+                _ => Ok(()),
+            };
+            if appended.is_ok() {
+                j.commands_since_checkpoint = 0;
+            }
+            Some((appended, compacted))
+        });
+        let Some((appended, compacted)) = written.flatten() else { return Ok(None) };
         let seq = appended?;
-        j.commands_since_checkpoint = 0;
         self.obs.inc("journal", "checkpoints");
         compacted?;
         Ok(Some(seq))
@@ -3121,28 +2880,28 @@ impl Dfms {
     }
 }
 
-enum AfterChild {
-    Wait,
-    Complete,
-    AdvanceStatic,
-    AdvanceWhile,
-    AdvanceForEach,
-}
-
-fn initial_cursor(pattern: &ControlPattern) -> Cursor {
-    match pattern {
-        ControlPattern::Sequential => Cursor::Static { next_spec: 0, outstanding: 0, parallel: false },
-        ControlPattern::Parallel => Cursor::Static { next_spec: 0, outstanding: 0, parallel: true },
-        ControlPattern::While(_) => Cursor::While { iterations: 0 },
-        ControlPattern::ForEach { parallel, .. } => {
-            Cursor::ForEach { items: Vec::new(), next: 0, outstanding: 0, parallel: *parallel }
-        }
-        ControlPattern::Switch { .. } => Cursor::Switch,
+/// Spec child `idx` of `spec` as a node body, with its name. Only that
+/// child is cloned: cloning the whole spec would make wide flows
+/// quadratic.
+fn spec_child(spec: &Flow, idx: usize) -> Option<(String, NodeBody)> {
+    match &spec.children {
+        Children::Flows(flows) => flows.get(idx).map(|f| (f.name.clone(), NodeBody::flow(f.clone()))),
+        Children::Steps(steps) => steps.get(idx).map(|s| (s.name.clone(), NodeBody::Step { spec: s.clone(), attempts: 0 })),
     }
 }
 
-fn spec_children_len(spec: &Flow) -> usize {
-    spec.children.len()
+/// Loop iteration `i` of `spec`: a sequential wrapper flow over a copy
+/// of the loop body. A for-each iteration declares the loop variable
+/// with its one item as the initial value.
+fn iteration(spec: &Flow, i: usize, bind: Option<(&String, &String)>) -> (String, NodeBody) {
+    let name = format!("iter{i}");
+    let wrapper = Flow {
+        name: name.clone(),
+        variables: bind.map(|(var, item)| dgf_dgl::VarDecl::new(var.clone(), item.clone())).into_iter().collect(),
+        logic: dgf_dgl::FlowLogic::sequential(),
+        children: spec.children.clone(),
+    };
+    (name, NodeBody::flow(wrapper))
 }
 
 /// Collect (runtime path, step) pairs for execute steps whose runtime

@@ -17,24 +17,32 @@ pub struct RunId(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeId(pub usize);
 
-/// Control-state of a flow node.
+/// A flow node's runtime state: its spec, plus what the spec cannot say.
+/// Its progress is its `children` list: a node launches child number
+/// `children.len()` next, so nothing mirrors the spec's control pattern.
 #[derive(Debug, Clone)]
-pub(crate) enum Cursor {
-    /// Sequential/parallel over the spec's children.
-    Static { next_spec: usize, outstanding: usize, parallel: bool },
-    /// While loop: one unrolled iteration (a wrapper flow) at a time.
-    While { iterations: u64 },
-    /// For-each: items resolved at entry; unrolls one wrapper per item.
-    ForEach { items: Vec<String>, next: usize, outstanding: usize, parallel: bool },
-    /// Switch: at most one child dispatched.
-    Switch,
+pub(crate) struct FlowBody {
+    pub spec: Flow,
+    pub children: Vec<NodeId>,
+    /// The children a parallel node or a concurrent for-each still waits
+    /// on (unused by the other patterns).
+    pub outstanding: usize,
+    /// A for-each's items, resolved when the node starts.
+    pub items: Vec<String>,
 }
 
-/// A node's body: an unrolled flow or a leaf step.
+/// A node's body: a flow or a leaf step.
 #[derive(Debug, Clone)]
 pub(crate) enum NodeBody {
-    Flow { spec: Flow, children: Vec<NodeId>, cursor: Cursor },
+    Flow(FlowBody),
     Step { spec: Step, attempts: u32 },
+}
+
+impl NodeBody {
+    /// A flow node over `spec`, not yet started.
+    pub(crate) fn flow(spec: Flow) -> Self {
+        NodeBody::Flow(FlowBody { spec, children: Vec::new(), outstanding: 0, items: Vec::new() })
+    }
 }
 
 /// One runtime node.
@@ -57,6 +65,14 @@ pub(crate) struct Node {
 impl Node {
     pub(crate) fn is_step(&self) -> bool {
         matches!(self.body, NodeBody::Step { .. })
+    }
+
+    /// The node's runtime children (none for a step).
+    pub(crate) fn children(&self) -> &[NodeId] {
+        match &self.body {
+            NodeBody::Flow(flow) => &flow.children,
+            NodeBody::Step { .. } => &[],
+        }
     }
 }
 
@@ -112,9 +128,38 @@ impl Run {
         &mut self.nodes[id.0]
     }
 
-    /// Allocate a child node.
-    pub(crate) fn alloc(&mut self, parent: Option<NodeId>, index_in_parent: usize, name: String, body: NodeBody) -> NodeId {
+    /// Flow node `id`'s spec and runtime state.
+    pub(crate) fn flow(&self, id: NodeId) -> &FlowBody {
+        match &self.node(id).body {
+            NodeBody::Flow(flow) => flow,
+            NodeBody::Step { .. } => unreachable!("node {} is a step, not a flow", id.0),
+        }
+    }
+
+    pub(crate) fn flow_mut(&mut self, id: NodeId) -> &mut FlowBody {
+        match &mut self.node_mut(id).body {
+            NodeBody::Flow(flow) => flow,
+            NodeBody::Step { .. } => unreachable!("node {} is a step, not a flow", id.0),
+        }
+    }
+
+    /// Step node `id`'s spec.
+    pub(crate) fn step(&self, id: NodeId) -> &Step {
+        match &self.node(id).body {
+            NodeBody::Step { spec, .. } => spec,
+            NodeBody::Flow(_) => unreachable!("node {} is a flow, not a step", id.0),
+        }
+    }
+
+    /// Allocate a node: the root, or the next child of flow node
+    /// `parent`.
+    pub(crate) fn alloc(&mut self, parent: Option<NodeId>, name: String, body: NodeBody) -> NodeId {
         let id = NodeId(self.nodes.len());
+        let index_in_parent = parent.map_or(0, |p| {
+            let children = &mut self.flow_mut(p).children;
+            children.push(id);
+            children.len() - 1
+        });
         self.nodes.push(Node {
             parent,
             index_in_parent,
@@ -155,11 +200,7 @@ impl Run {
         let mut at = self.root();
         for segment in path.split('/').filter(|s| !s.is_empty()) {
             let idx: usize = segment.parse().ok()?;
-            let children = match &self.node(at).body {
-                NodeBody::Flow { children, .. } => children,
-                NodeBody::Step { .. } => return None,
-            };
-            at = *children.get(idx)?;
+            at = *self.node(at).children().get(idx)?;
         }
         Some(at)
     }
@@ -168,35 +209,24 @@ impl Run {
     /// materialized step nodes only; loops grow the total as they unroll).
     pub(crate) fn progress(&self, id: NodeId) -> (usize, usize) {
         let node = self.node(id);
-        match &node.body {
-            NodeBody::Step { .. } => {
-                let done = usize::from(matches!(node.state, RunState::Completed | RunState::Skipped));
-                (done, 1)
-            }
-            NodeBody::Flow { children, .. } => {
-                let mut done = 0;
-                let mut total = 0;
-                for child in children {
-                    let (d, t) = self.progress(*child);
-                    done += d;
-                    total += t;
-                }
-                (done, total)
-            }
+        if node.is_step() {
+            return (usize::from(matches!(node.state, RunState::Completed | RunState::Skipped)), 1);
         }
+        node.children().iter().fold((0, 0), |(done, total), child| {
+            let (d, t) = self.progress(*child);
+            (done + d, total + t)
+        })
     }
 
     /// Build a DGL status report for a node.
     pub(crate) fn report(&self, id: NodeId) -> StatusReport {
         let node = self.node(id);
         let (steps_completed, steps_total) = self.progress(id);
-        let children = match &node.body {
-            NodeBody::Flow { children, .. } => children
-                .iter()
-                .map(|c| (self.path_of(*c), self.node(*c).name.clone(), self.node(*c).state))
-                .collect(),
-            NodeBody::Step { .. } => Vec::new(),
-        };
+        let children = node
+            .children()
+            .iter()
+            .map(|c| (self.path_of(*c), self.node(*c).name.clone(), self.node(*c).state))
+            .collect();
         StatusReport {
             transaction: self.txn.clone(),
             node: self.path_of(id),
@@ -214,11 +244,7 @@ impl Run {
 
     /// Mark every non-terminal node in the subtree `Stopped`.
     pub(crate) fn stop_subtree(&mut self, id: NodeId, at: SimTime) {
-        let children: Vec<NodeId> = match &self.node(id).body {
-            NodeBody::Flow { children, .. } => children.clone(),
-            NodeBody::Step { .. } => Vec::new(),
-        };
-        for child in children {
+        for child in self.node(id).children().to_vec() {
             self.stop_subtree(child, at);
         }
         let node = self.node_mut(id);
@@ -251,42 +277,21 @@ mod tests {
             nodes: Vec::new(),
             deferred: Vec::new(),
         };
-        let root_body = NodeBody::Flow {
-            spec,
-            children: Vec::new(),
-            cursor: Cursor::Static { next_spec: 0, outstanding: 0, parallel: false },
-        };
-        run.alloc(None, 0, "root".into(), root_body);
+        run.alloc(None, "root".into(), NodeBody::flow(spec));
         run
     }
 
-    fn attach_step(run: &mut Run, parent: NodeId, idx: usize, name: &str) -> NodeId {
-        let id = run.alloc(Some(parent), idx, name.into(), NodeBody::Step { spec: step_spec(name), attempts: 0 });
-        if let NodeBody::Flow { children, .. } = &mut run.node_mut(parent).body {
-            children.push(id);
-        }
-        id
+    fn attach_step(run: &mut Run, parent: NodeId, name: &str) -> NodeId {
+        run.alloc(Some(parent), name.into(), NodeBody::Step { spec: step_spec(name), attempts: 0 })
     }
 
     #[test]
     fn paths_round_trip() {
         let mut run = test_run();
         let root = run.root();
-        let inner = run.alloc(
-            Some(root),
-            0,
-            "inner".into(),
-            NodeBody::Flow {
-                spec: DglFlow::sequence("inner", vec![]),
-                children: Vec::new(),
-                cursor: Cursor::Static { next_spec: 0, outstanding: 0, parallel: false },
-            },
-        );
-        if let NodeBody::Flow { children, .. } = &mut run.node_mut(root).body {
-            children.push(inner);
-        }
-        let s1 = attach_step(&mut run, inner, 0, "a");
-        let s2 = attach_step(&mut run, inner, 1, "b");
+        let inner = run.alloc(Some(root), "inner".into(), NodeBody::flow(DglFlow::sequence("inner", vec![])));
+        let s1 = attach_step(&mut run, inner, "a");
+        let s2 = attach_step(&mut run, inner, "b");
         assert_eq!(run.path_of(root), "/");
         assert_eq!(run.path_of(inner), "/0");
         assert_eq!(run.path_of(s1), "/0/0");
@@ -302,8 +307,8 @@ mod tests {
     fn progress_counts_materialized_steps() {
         let mut run = test_run();
         let root = run.root();
-        let a = attach_step(&mut run, root, 0, "a");
-        let _b = attach_step(&mut run, root, 1, "b");
+        let a = attach_step(&mut run, root, "a");
+        let _b = attach_step(&mut run, root, "b");
         assert_eq!(run.progress(root), (0, 2));
         run.node_mut(a).state = RunState::Completed;
         assert_eq!(run.progress(root), (1, 2));
@@ -318,8 +323,8 @@ mod tests {
     fn stop_subtree_preserves_terminal_states() {
         let mut run = test_run();
         let root = run.root();
-        let a = attach_step(&mut run, root, 0, "a");
-        let b = attach_step(&mut run, root, 1, "b");
+        let a = attach_step(&mut run, root, "a");
+        let b = attach_step(&mut run, root, "b");
         run.node_mut(a).state = RunState::Completed;
         run.node_mut(b).state = RunState::Running;
         run.stop_subtree(root, SimTime::from_secs(9));

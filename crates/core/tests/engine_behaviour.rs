@@ -332,6 +332,78 @@ fn pause_resume_defers_new_steps_only() {
     // Lifecycle errors on bad states.
     assert!(d.pause(&txn).is_err(), "cannot pause a completed run");
     assert!(d.resume(&txn).is_err());
+
+    // A pause is not a stall: the watchdog stops watching a paused flow
+    // and watches it again from the moment it resumes.
+    let mut d = dfms();
+    let mut b = FlowBuilder::sequential("held");
+    for i in 0..2 {
+        let job = DglOperation::Execute {
+            code: format!("held-job{i}"),
+            nominal_secs: "900".into(),
+            resource_type: None,
+            inputs: vec![],
+            outputs: vec![],
+        };
+        b = b.step(format!("s{i}"), job);
+    }
+    let txn = d.submit_flow("u", b.build().unwrap()).unwrap();
+    d.pump_until(SimTime::from_secs(10));
+    d.pause(&txn).unwrap();
+    // Past the watchdog's two-hour stall deadline; the first job ends
+    // while paused and the second waits.
+    d.pump_until(SimTime::ZERO + Duration::from_hours(3));
+    d.sample_telemetry();
+    assert_eq!(d.status(&txn, None).unwrap().state, RunState::Paused);
+    assert_eq!(d.metrics_snapshot().gauge("dfms", "flows_stalled"), 0);
+    assert!(
+        !d.obs().events().iter().any(|e| e.kind.name() == "health.stalled" && e.kind.transaction() == Some(txn.as_str())),
+        "a paused flow never reads as stalled"
+    );
+    assert_eq!(d.obs().health_flow(&txn), None);
+    assert!(!dgf_dfms::BisectPredicate::Stalled { transaction: txn.clone() }.eval(&d));
+    d.resume(&txn).unwrap();
+    let health = d.obs().health_flow(&txn).expect("a resumed flow is watched again");
+    assert_eq!((health.state, health.last_progress), (dgf_obs::HealthState::Healthy, d.now()));
+    d.pump();
+    assert_eq!(d.status(&txn, None).unwrap().state, RunState::Completed);
+}
+
+/// A parallel node ends once, however many of its children fail: the
+/// children still running when it failed are recorded, but their
+/// endings end nothing further.
+#[test]
+fn a_failed_parallel_node_ends_once() {
+    let mut d = dfms();
+    let flow = FlowBuilder::sequential("outer")
+        .flow(
+            FlowBuilder::parallel("fan")
+                .step("gone0", DglOperation::Delete { path: "/missing0".into() })
+                .step("gone1", DglOperation::Delete { path: "/missing1".into() })
+                .step("mk", DglOperation::CreateCollection { path: "/made".into() })
+                .build()
+                .unwrap(),
+        )
+        .build()
+        .unwrap();
+    let txn = d.submit_flow("u", flow).unwrap();
+    d.pump();
+    assert_eq!(d.status(&txn, None).unwrap().state, RunState::Failed);
+    assert!(d.grid().exists(&path("/made")), "the late child still runs");
+    let mut nodes: Vec<String> =
+        d.provenance().query(&ProvenanceQuery::transaction(&txn)).iter().map(|r| r.node.clone()).collect();
+    nodes.sort();
+    assert_eq!(nodes, ["/", "/0", "/0/0", "/0/1", "/0/2"], "one record per node");
+    let m = d.metrics_snapshot();
+    assert_eq!((m.counter("engine", "runs.failed"), m.counter("engine", "runs.completed")), (1, 0));
+    assert_eq!(m.histogram("engine", "run.duration").count, 1);
+    let finished = d.obs().events().iter().filter(|e| e.kind.name() == "run.finished").count();
+    assert_eq!(finished, 1);
+    assert_eq!(d.obs().why_paths().iter().filter(|p| p.txn == txn).count(), 1);
+    let root = d.provenance().query(&ProvenanceQuery::transaction(&txn)).into_iter().find(|r| r.node == "/").unwrap();
+    let spans = d.obs().trace_spans(dgf_obs::TraceId(root.trace_id.unwrap()));
+    let flow_span = spans.iter().find(|s| Some(s.id.0) == root.span_id).unwrap();
+    assert_eq!(flow_span.attrs.iter().filter(|(k, _)| k == "outcome").count(), 1);
 }
 
 #[test]

@@ -145,7 +145,9 @@ proptest! {
     /// * the engine terminates with the root in a terminal state,
     /// * no compute slots or transfer shares leak,
     /// * progress counters are consistent (completed ≤ total),
-    /// * the provenance record count ≥ materialized terminal nodes.
+    /// * the provenance record count ≥ materialized terminal nodes,
+    /// * every node ends once: one provenance record per (transaction,
+    ///   node), and the run counts as completed or failed exactly once.
     #[test]
     fn generated_flows_terminate_cleanly(shape in shape_strategy()) {
         let mut counter = 0;
@@ -166,6 +168,13 @@ proptest! {
         prop_assert_eq!(d.grid().transfer_model().total_active_shares(), 0);
         // Provenance covers the run.
         prop_assert!(!d.provenance().is_empty());
+        // Each node ends once, the run included.
+        let mut recorded = std::collections::BTreeSet::new();
+        for r in d.provenance().records() {
+            prop_assert!(recorded.insert((r.transaction.as_str(), r.node.as_str())), "{} {} recorded twice", r.transaction, r.node);
+        }
+        let m = d.metrics();
+        prop_assert_eq!(m.runs_completed + m.runs_failed, 1);
     }
 
     /// Pausing and resuming at arbitrary points never wedges a flow.
