@@ -49,13 +49,14 @@ for crate in dgf-simgrid dgf-dgms dgf-journal dgf-scheduler dgf-triggers; do
 done
 
 # Console gate: the two examples that print MD5 digests, the
-# federation and crash-recovery consoles, and the two ILM star builders
-# (parallel and sequential for-each) must print exactly the bytes
-# pinned in tests/example_golden/. There is no regeneration switch: a
-# change to their output means editing the golden file by hand in the
-# same commit.
+# federation, crash-recovery, attribution and time-travel consoles, and
+# the two ILM star builders (parallel and sequential for-each) must
+# print exactly the bytes pinned in tests/example_golden/ (dgf_why's
+# wire-format report is compared below). There is no regeneration
+# switch: a change to their output means editing the golden file by
+# hand in the same commit.
 for example in quickstart ucsd_md5_integrity dgf_fabric dgf_recover \
-    bbsrc_imploding_star cms_exploding_star; do
+    bbsrc_imploding_star cms_exploding_star dgf_why dgf_time_travel; do
     if ! cargo run -q --example "$example" | cmp -s - "tests/example_golden/$example.stdout"; then
         echo "verify: $example stdout differs from tests/example_golden/$example.stdout" >&2
         cargo run -q --example "$example" | diff - "tests/example_golden/$example.stdout" | head -20 >&2 || true
@@ -222,6 +223,11 @@ if ! grep -q 'flows analyzed' "$why_console" || ! grep -q 'bottlenecks (grid-wid
 fi
 if ! grep -q '<whyReport' "$why_a"; then
     echo "verify: DGF_WHY_OUT did not capture a wire-format whyReport" >&2
+    exit 1
+fi
+if ! cmp -s "$why_a" tests/example_golden/dgf_why.report.xml; then
+    echo "verify: whyReport differs from tests/example_golden/dgf_why.report.xml" >&2
+    diff "$why_a" tests/example_golden/dgf_why.report.xml | head -20 >&2 || true
     exit 1
 fi
 
