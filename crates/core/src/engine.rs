@@ -493,7 +493,7 @@ impl Dfms {
         let all_paths = self.obs.why_paths();
         let flows_analyzed = all_paths.len() as u64;
         let paths = if q.paths {
-            all_paths.iter().filter(|p| wanted(&p.flow, &p.txn)).map(why_path_to_dgl).collect()
+            all_paths.iter().filter(|p| wanted(&p.flow, &p.txn)).cloned().collect()
         } else {
             Vec::new()
         };
@@ -747,7 +747,6 @@ impl Dfms {
             user: user.to_owned(),
             vo,
             paused: false,
-            stop_requested: false,
             options,
             nodes: Vec::new(),
             deferred: Vec::new(),
@@ -1095,7 +1094,6 @@ impl Dfms {
         if state.is_terminal() {
             return Err(DfmsError::BadLifecycle { transaction: txn.to_owned(), action: "stop", state: state.to_string() });
         }
-        run.stop_requested = true;
         run.deferred.clear();
         run.stop_subtree(NodeId(0), now);
         // Close every span below the root the run still holds open
@@ -1287,7 +1285,7 @@ impl Dfms {
         let now = self.now();
         {
             let run = self.run_ref(run_id);
-            if run.stop_requested {
+            if run.stopped() {
                 return;
             }
             if run.paused {
@@ -1312,16 +1310,21 @@ impl Dfms {
                 }
             }
         }
-        // Compute the node's scope: parent scope + fresh frame + declared vars.
-        let parent_scope = {
+        // Compute the node's scope: parent scope + fresh frame (binding a
+        // for-each iteration's item as resolved, never interpolating it
+        // again) + declared vars.
+        let mut scope = {
             let run = self.run_ref(run_id);
-            match self.run_ref(run_id).node(node_id).parent {
-                Some(p) => run.node(p).scope.clone(),
-                None => Scope::root(),
+            let node = run.node(node_id);
+            let mut scope = node.parent.map_or_else(Scope::root, |p| run.node(p).scope.clone());
+            scope.push();
+            if let Some(parent) = node.parent.map(|p| run.flow(p)) {
+                if let ControlPattern::ForEach { var, .. } = &parent.spec.logic.pattern {
+                    scope.declare(var.clone(), Value::from_text(&parent.items[node.index_in_parent]));
+                }
             }
+            scope
         };
-        let mut scope = parent_scope;
-        scope.push();
         // Declare node variables (interpolated against the enclosing scope).
         let var_decls: Vec<(String, String)> = {
             let run = self.run_ref(run_id);
@@ -1426,6 +1429,7 @@ impl Dfms {
     /// pattern has no child left to launch, end the node instead.
     fn advance(&mut self, run_id: RunId, node_id: NodeId) {
         let run = self.run_ref(run_id);
+        let ended = run.nodes[0].state;
         let flow = run.flow(node_id);
         let scope = &run.node(node_id).scope;
         let next = flow.children.len();
@@ -1447,12 +1451,20 @@ impl Dfms {
                 Err(DfmsError::IterationLimit { transaction, node, limit: MAX_LOOP_ITERATIONS }.to_string())
             }
             ControlPattern::While(cond) => match cond.eval_bool(scope) {
-                Ok(more) => Ok(more.then(|| iteration(spec, next, None))),
+                Ok(more) => Ok(more.then(|| iteration(spec, next))),
                 Err(e) => Err(format!("while condition: {e}")),
             },
-            ControlPattern::ForEach { var, .. } => Ok(flow.items.get(next).map(|item| iteration(spec, next, Some((var, item))))),
+            ControlPattern::ForEach { .. } => Ok((next < flow.items.len()).then(|| iteration(spec, next))),
         };
         match launch {
+            // Once the run has ended nothing new launches: the node ends
+            // stopped instead (once, though a parallel start asks per
+            // child).
+            Ok(Some(_)) if ended.is_terminal() => {
+                if !run.node(node_id).state.is_terminal() {
+                    self.finish_node(run_id, node_id, RunState::Stopped, Some(format!("cut off: the run {ended}")));
+                }
+            }
             Ok(Some((name, body))) => {
                 let child = self.run_mut(run_id).alloc(Some(node_id), name, body);
                 self.queue.schedule_in(Duration::ZERO, Work::Start { run: run_id, node: child });
@@ -1683,7 +1695,7 @@ impl Dfms {
         let Some((pending, op_span)) = self.pending_ops.remove(&(run_id, node_id.0)) else {
             return; // stopped runs may have had their pendings dropped
         };
-        if self.run_ref(run_id).stop_requested {
+        if self.run_ref(run_id).stopped() {
             self.obs.span_attr(op_span, "aborted", "stop requested");
             self.obs.span_end_at(op_span, now);
             self.grid.abort(pending);
@@ -2010,7 +2022,7 @@ impl Dfms {
     ) {
         let now = self.now();
         self.grid.topology_mut().compute_mut(compute).release_slot();
-        if self.run_ref(run_id).stop_requested {
+        if self.run_ref(run_id).stopped() {
             return;
         }
         let user = self.run_ref(run_id).user.clone();
@@ -2078,7 +2090,7 @@ impl Dfms {
         if self.run_ref(run_id).node(node_id).parent.is_none() {
             self.finish_run(run_id, state);
         }
-        self.child_finished(run_id, node_id, state != RunState::Failed);
+        self.child_finished(run_id, node_id, state);
     }
 
     /// Step-level failure: applies the step's error policy before
@@ -2117,12 +2129,14 @@ impl Dfms {
         }
     }
 
-    /// Hand a finished child to its parent: write its scope back (all
-    /// but the parallel patterns), fail the parent, count down (parallel
-    /// patterns), or advance. A parent that has already ended — a
-    /// parallel node failed by an earlier child — takes nothing more:
-    /// its late children are recorded, but end nothing.
-    fn child_finished(&mut self, run_id: RunId, child: NodeId, success: bool) {
+    /// Hand a child that ended in `state` to its parent: write its scope
+    /// back (all but the parallel patterns), fail the parent, cut it off
+    /// (a child cut off after its run ended, see `advance`),
+    /// count down (parallel patterns), or advance. A parent that has
+    /// already ended — a parallel node failed by an earlier child —
+    /// takes nothing more: its late children are recorded, but end
+    /// nothing.
+    fn child_finished(&mut self, run_id: RunId, child: NodeId, state: RunState) {
         let run = self.run_ref(run_id);
         let Some(parent) = run.node(child).parent else {
             return; // root finished
@@ -2143,13 +2157,18 @@ impl Dfms {
                 self.run_mut(run_id).node_mut(parent).scope = child_scope;
             }
         }
-        if !success {
+        if state == RunState::Failed {
             // A failed child fails the whole parent (step-level policies
             // were already applied).
             let child = self.run_ref(run_id).node(child);
             let detail = child.message.as_ref().map(|m| format!(": {m}")).unwrap_or_default();
             let message = format!("child {:?} failed{detail}", child.name);
             self.finish_node(run_id, parent, RunState::Failed, Some(message));
+            return;
+        }
+        if state == RunState::Stopped {
+            let message = self.run_ref(run_id).node(child).message.clone();
+            self.finish_node(run_id, parent, RunState::Stopped, message);
             return;
         }
         if parallel {
@@ -2891,13 +2910,13 @@ fn spec_child(spec: &Flow, idx: usize) -> Option<(String, NodeBody)> {
 }
 
 /// Loop iteration `i` of `spec`: a sequential wrapper flow over a copy
-/// of the loop body. A for-each iteration declares the loop variable
-/// with its one item as the initial value.
-fn iteration(spec: &Flow, i: usize, bind: Option<(&String, &String)>) -> (String, NodeBody) {
+/// of the loop body. A for-each iteration's item is bound when the
+/// wrapper starts.
+fn iteration(spec: &Flow, i: usize) -> (String, NodeBody) {
     let name = format!("iter{i}");
     let wrapper = Flow {
         name: name.clone(),
-        variables: bind.map(|(var, item)| dgf_dgl::VarDecl::new(var.clone(), item.clone())).into_iter().collect(),
+        variables: Vec::new(),
         logic: dgf_dgl::FlowLogic::sequential(),
         children: spec.children.clone(),
     };
@@ -2974,35 +2993,10 @@ fn report_event(e: &dgf_obs::ObsEvent) -> dgf_dgl::ReportEvent {
     dgf_dgl::ReportEvent { time_us: e.time.0, seq: e.seq, kind: e.kind.name().to_owned(), detail: e.kind.detail() }
 }
 
-// ----------------------------------------------------------------------
-// obs → DGL attribution reports. dgf-obs keeps sim-time values (and
-// computes burn against the engine clock); the wire carries sim-µs. The
-// wait-state and alert-state enums are dgf-dgl's own, shared by both.
-// ----------------------------------------------------------------------
-
-fn why_path_to_dgl(p: &dgf_obs::CriticalPath) -> dgf_dgl::WhyPath {
-    dgf_dgl::WhyPath {
-        txn: p.txn.clone(),
-        flow: p.flow.clone(),
-        start_us: p.start.0,
-        end_us: p.end.0,
-        caused_by: p.caused_by.clone(),
-        segments: p
-            .segments
-            .iter()
-            .map(|s| dgf_dgl::WhySegment {
-                from_us: s.from.0,
-                until_us: s.until.0,
-                state: s.state,
-                resource: s.resource.clone(),
-                node: s.node.clone(),
-            })
-            .collect(),
-    }
-}
-
-/// Burn is computed against `now` for live alerts and frozen at
-/// resolution for resolved ones (see [`dgf_obs::SlaAlert::burn_ppm`]).
+/// An SLA alert as the DGL reports carry it: dgf-obs keeps sim-time
+/// values, the wire carries sim-µs. Burn is computed against `now` for
+/// live alerts and frozen at resolution for resolved ones (see
+/// [`dgf_obs::SlaAlert::burn_ppm`]).
 fn why_alert_to_dgl(a: &dgf_obs::SlaAlert, now: SimTime) -> dgf_dgl::WhyAlert {
     dgf_dgl::WhyAlert {
         txn: a.txn.clone(),

@@ -59,4 +59,4 @@ pub use dgf_journal::SyncPolicy;
 pub use recovery::JournalConfig;
 pub use run::{NodeId, RunId, RunOptions};
 pub use server::{DfmsServer, ServerHandle};
-pub use time_travel::{BisectOutcome, BisectPredicate, Materialized, StateDiff, TimeTravel};
+pub use time_travel::{Materialized, StateDiff, TimeTravel};

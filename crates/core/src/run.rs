@@ -96,7 +96,6 @@ pub(crate) struct Run {
     pub user: String,
     pub vo: Option<String>,
     pub paused: bool,
-    pub stop_requested: bool,
     pub options: RunOptions,
     pub nodes: Vec<Node>,
     /// Work items deferred while paused or outside the window.
@@ -118,6 +117,12 @@ impl Run {
         } else {
             state
         }
+    }
+
+    /// True once a lifecycle stop ended the run: only a stop ends the
+    /// root `Stopped`.
+    pub(crate) fn stopped(&self) -> bool {
+        self.nodes[0].state == RunState::Stopped
     }
 
     pub(crate) fn node(&self, id: NodeId) -> &Node {
@@ -272,7 +277,6 @@ mod tests {
             user: "u".into(),
             vo: None,
             paused: false,
-            stop_requested: false,
             options: RunOptions::default(),
             nodes: Vec::new(),
             deferred: Vec::new(),

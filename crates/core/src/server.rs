@@ -13,6 +13,7 @@ use crate::engine::Dfms;
 use crate::recovery::JournalConfig;
 use crate::DfmsError;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use dgf_dgl::LockHistogram;
 use parking_lot::Mutex;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,41 +26,6 @@ enum ClientMessage {
     Shutdown,
 }
 
-/// One wall-clock histogram of the request path: count/sum/min/max in
-/// nanoseconds. Deliberately coarse — the DGL `profileReport` carries
-/// these four numbers per dimension, not bucket arrays.
-#[derive(Debug, Default, Clone, Copy)]
-struct WallHist {
-    count: u64,
-    sum_ns: u64,
-    min_ns: u64,
-    max_ns: u64,
-}
-
-impl WallHist {
-    fn record(&mut self, ns: u64) {
-        if self.count == 0 {
-            self.min_ns = ns;
-            self.max_ns = ns;
-        } else {
-            self.min_ns = self.min_ns.min(ns);
-            self.max_ns = self.max_ns.max(ns);
-        }
-        self.count += 1;
-        self.sum_ns += ns;
-    }
-
-    fn to_report(self, name: &str) -> dgf_dgl::LockHistogram {
-        dgf_dgl::LockHistogram {
-            name: name.to_owned(),
-            count: self.count,
-            sum_ns: self.sum_ns,
-            min_ns: self.min_ns,
-            max_ns: self.max_ns,
-        }
-    }
-}
-
 /// Contention telemetry for the `Arc<Mutex<Dfms>>` request path:
 /// queue depth, enqueue→dequeue wait, lock-acquire wait, and lock-hold
 /// histograms. Shared between the client handles (enqueue side), the
@@ -69,15 +35,39 @@ impl WallHist {
 /// Everything here is wall-clock and report-only: these numbers vary
 /// between runs and never feed deterministic engine state or the
 /// metrics registry the scrape-determinism gates cover.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct ServerStats {
     enqueued: AtomicU64,
     served: AtomicU64,
     depth: AtomicU64,
     depth_max: AtomicU64,
-    queue_wait: Mutex<WallHist>,
-    lock_acquire: Mutex<WallHist>,
-    lock_hold: Mutex<WallHist>,
+    /// Queue-wait, lock-acquire and lock-hold, in report order.
+    hists: Mutex<[LockHistogram; 3]>,
+}
+
+impl Default for ServerStats {
+    fn default() -> Self {
+        ServerStats {
+            enqueued: AtomicU64::new(0),
+            served: AtomicU64::new(0),
+            depth: AtomicU64::new(0),
+            depth_max: AtomicU64::new(0),
+            hists: Mutex::new(empty_hists()),
+        }
+    }
+}
+
+fn empty_hists() -> [LockHistogram; 3] {
+    ["queue-wait", "lock-acquire", "lock-hold"]
+        .map(|name| LockHistogram { name: name.to_owned(), count: 0, sum_ns: 0, min_ns: 0, max_ns: 0 })
+}
+
+/// Fold one sample (ns) into a histogram.
+fn fold(hist: &mut LockHistogram, ns: u64) {
+    hist.min_ns = if hist.count == 0 { ns } else { hist.min_ns.min(ns) };
+    hist.max_ns = hist.max_ns.max(ns);
+    hist.count += 1;
+    hist.sum_ns += ns;
 }
 
 impl ServerStats {
@@ -92,14 +82,16 @@ impl ServerStats {
     /// request sat in the channel and how long the lock acquire took.
     fn record_waits(&self, queue_wait_ns: u64, lock_acquire_ns: u64) {
         self.depth.fetch_sub(1, Ordering::Relaxed);
-        self.queue_wait.lock().record(queue_wait_ns);
-        self.lock_acquire.lock().record(lock_acquire_ns);
+        let [queue_wait, lock_acquire, _] = &mut *self.hists.lock();
+        fold(queue_wait, queue_wait_ns);
+        fold(lock_acquire, lock_acquire_ns);
     }
 
     /// Worker side, after answering: how long the lock was held.
     fn record_hold(&self, lock_hold_ns: u64) {
         self.served.fetch_add(1, Ordering::Relaxed);
-        self.lock_hold.lock().record(lock_hold_ns);
+        let [_, _, lock_hold] = &mut *self.hists.lock();
+        fold(lock_hold, lock_hold_ns);
     }
 
     /// Requests served so far (survives a worker panic).
@@ -113,11 +105,7 @@ impl ServerStats {
             enqueued: self.enqueued.load(Ordering::Relaxed),
             served: self.served.load(Ordering::Relaxed),
             queue_depth_max: self.depth_max.load(Ordering::Relaxed),
-            hists: vec![
-                self.queue_wait.lock().to_report("queue-wait"),
-                self.lock_acquire.lock().to_report("lock-acquire"),
-                self.lock_hold.lock().to_report("lock-hold"),
-            ],
+            hists: self.hists.lock().to_vec(),
         }
     }
 
@@ -128,9 +116,7 @@ impl ServerStats {
         self.enqueued.store(0, Ordering::Relaxed);
         self.served.store(0, Ordering::Relaxed);
         self.depth_max.store(self.depth.load(Ordering::Relaxed), Ordering::Relaxed);
-        *self.queue_wait.lock() = WallHist::default();
-        *self.lock_acquire.lock() = WallHist::default();
-        *self.lock_hold.lock() = WallHist::default();
+        *self.hists.lock() = empty_hists();
     }
 }
 

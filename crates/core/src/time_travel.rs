@@ -18,7 +18,7 @@ use crate::error::DfmsError;
 use crate::provenance::ProvenanceRecord;
 use crate::recovery::JournalConfig;
 use dgf_dgl::{
-    BisectSpec, BisectSummary, DiffSummary, FlowDelta, OrdinalSummary, RunState, TimeTravelOp,
+    BisectSpec, BisectSummary, DiffSummary, FlowDelta, OrdinalSummary, TimeTravelOp,
     TimeTravelQuery, TimeTravelReport,
 };
 use dgf_journal::Journal;
@@ -112,101 +112,6 @@ impl StateDiff {
             time_from_us: self.time_from_us,
             time_to_us: self.time_to_us,
             flows: self.flows.clone(),
-        }
-    }
-}
-
-/// A bisection predicate, evaluated against a materialized engine.
-///
-/// Bisection assumes the predicate is *monotone* over the journal's
-/// history — false up to some ordinal, true from there on — the same
-/// contract `git bisect` puts on "broken". [`BisectPredicate::Stalled`]
-/// is monotone for a flow that stalls and never recovers (the common
-/// diagnostic case); a flow that recovers breaks monotonicity past the
-/// recovery, so bisect the prefix where the stall persists.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BisectPredicate {
-    /// The flow has sat idle past the watchdog's stall deadline
-    /// (computed directly from the progress watermark, so it holds
-    /// regardless of when `health_check` last ran).
-    Stalled {
-        /// The flow's transaction id.
-        transaction: String,
-    },
-    /// The flow has reached the given lifecycle state.
-    FlowState {
-        /// The flow's transaction id.
-        transaction: String,
-        /// The state to locate the first occurrence of.
-        state: RunState,
-    },
-    /// The flow variable renders to the given text in the root scope.
-    Variable {
-        /// The flow's transaction id.
-        transaction: String,
-        /// The variable name.
-        name: String,
-        /// The rendered value to match.
-        value: String,
-    },
-}
-
-impl BisectPredicate {
-    /// Evaluate against a materialized engine.
-    pub fn eval(&self, engine: &Dfms) -> bool {
-        match self {
-            BisectPredicate::Stalled { transaction } => {
-                let Some(health) = engine.obs().health_flow(transaction) else { return false };
-                let config = engine.obs().health_config();
-                let deadline = config.stalled_after.max(config.slow_after);
-                engine.now().since(health.last_progress) >= deadline
-            }
-            BisectPredicate::FlowState { transaction, state } => engine
-                .flow_summaries()
-                .iter()
-                .any(|f| &f.transaction == transaction && f.state == *state),
-            BisectPredicate::Variable { transaction, name, value } => engine
-                .flow_variable(transaction, name)
-                .map(|v| v.to_string() == *value)
-                .unwrap_or(false),
-        }
-    }
-
-    /// Build from the wire-level [`BisectSpec`].
-    pub fn from_spec(spec: BisectSpec) -> Self {
-        match spec {
-            BisectSpec::Stalled { transaction } => BisectPredicate::Stalled { transaction },
-            BisectSpec::State { transaction, state } => {
-                BisectPredicate::FlowState { transaction, state }
-            }
-            BisectSpec::Variable { transaction, name, value } => {
-                BisectPredicate::Variable { transaction, name, value }
-            }
-        }
-    }
-}
-
-/// A bisection outcome: where the predicate first held and what it
-/// cost to find out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BisectOutcome {
-    /// First ordinal where the predicate held; `None` when it does not
-    /// hold even at the end of history.
-    pub first_true: Option<u64>,
-    /// Materializations performed: one full probe plus at most
-    /// ⌈log₂(ordinals)⌉ binary-search probes.
-    pub probes: u64,
-    /// The journal's last since-genesis ordinal.
-    pub last_ordinal: u64,
-}
-
-impl BisectOutcome {
-    /// The wire-shaped summary of this outcome.
-    pub fn summary(&self) -> BisectSummary {
-        BisectSummary {
-            first_true: self.first_true,
-            probes: self.probes,
-            last_ordinal: self.last_ordinal,
         }
     }
 }
@@ -312,19 +217,26 @@ impl TimeTravel {
         })
     }
 
-    /// Locate the first ordinal where `predicate` holds, by binary
-    /// search over the since-genesis ordinals. One full materialization
-    /// learns the last ordinal and whether the predicate ever turns
-    /// true; when it does, at most ⌈log₂(ordinals)⌉ further probes pin
-    /// the first true one — `git bisect` over the journal.
-    pub fn bisect(&self, predicate: &BisectPredicate) -> Result<BisectOutcome, DfmsError> {
+    /// Locate the first ordinal where `predicate` holds (see
+    /// [`Dfms::holds`]), by binary search over the since-genesis
+    /// ordinals. One full materialization learns the last ordinal and
+    /// whether the predicate ever turns true; when it does, at most
+    /// ⌈log₂(ordinals)⌉ further probes pin the first true one — `git
+    /// bisect` over the journal.
+    ///
+    /// Bisection assumes the predicate is *monotone* over the journal's
+    /// history — false up to some ordinal, true from there on. A stall
+    /// is monotone for a flow that never recovers (the common
+    /// diagnostic case); a flow that recovers breaks monotonicity past
+    /// the recovery, so bisect the prefix where the stall persists.
+    pub fn bisect(&self, predicate: &BisectSpec) -> Result<BisectSummary, DfmsError> {
         let full = self.materialize(None)?;
         let mut probes = 1u64;
         let Some(last) = full.ordinal else {
-            return Ok(BisectOutcome { first_true: None, probes, last_ordinal: 0 });
+            return Ok(BisectSummary { first_true: None, probes, last_ordinal: 0 });
         };
-        if !predicate.eval(&full.engine) {
-            return Ok(BisectOutcome { first_true: None, probes, last_ordinal: last });
+        if !full.engine.holds(predicate) {
+            return Ok(BisectSummary { first_true: None, probes, last_ordinal: last });
         }
         // First-true binary search; invariant: predicate(hi) is true.
         let (mut lo, mut hi) = (0u64, last);
@@ -332,17 +244,41 @@ impl TimeTravel {
             let mid = lo + (hi - lo) / 2;
             let probe = self.materialize(Some(mid))?;
             probes += 1;
-            if predicate.eval(&probe.engine) {
+            if probe.engine.holds(predicate) {
                 hi = mid;
             } else {
                 lo = mid + 1;
             }
         }
-        Ok(BisectOutcome { first_true: Some(lo), probes, last_ordinal: last })
+        Ok(BisectSummary { first_true: Some(lo), probes, last_ordinal: last })
     }
 }
 
 impl Dfms {
+    /// Whether a bisection predicate holds on this engine. A stall is
+    /// computed from the flow's progress watermark against the
+    /// watchdog's stall deadline, so it holds regardless of when
+    /// `health_check` last ran; an unwatched (paused or finished) flow
+    /// is not stalled. A variable is compared by its rendered text in
+    /// the flow's root scope.
+    pub fn holds(&self, predicate: &BisectSpec) -> bool {
+        match predicate {
+            BisectSpec::Stalled { transaction } => {
+                let Some(health) = self.obs().health_flow(transaction) else { return false };
+                let config = self.obs().health_config();
+                let deadline = config.stalled_after.max(config.slow_after);
+                self.now().since(health.last_progress) >= deadline
+            }
+            BisectSpec::State { transaction, state } => self
+                .flow_summaries()
+                .iter()
+                .any(|f| &f.transaction == transaction && f.state == *state),
+            BisectSpec::Variable { transaction, name, value } => self
+                .flow_variable(transaction, name)
+                .is_some_and(|v| v.to_string() == *value),
+        }
+    }
+
     /// Materialize the engine the journal at `path` describes, at
     /// since-genesis transition ordinal `ordinal` *inclusive* — the
     /// state after deriving transition `ordinal`. `None` replays the
@@ -446,16 +382,13 @@ impl Dfms {
                 Ok(d) => report.diff = Some(d.summary()),
                 Err(e) => report.error = Some(e.to_string()),
             },
-            TimeTravelOp::Bisect { predicate } => {
-                let p = BisectPredicate::from_spec(predicate.clone());
-                match travel.bisect(&p) {
-                    Ok(b) => {
-                        report.last_ordinal = Some(b.last_ordinal);
-                        report.bisect = Some(b.summary());
-                    }
-                    Err(e) => report.error = Some(e.to_string()),
+            TimeTravelOp::Bisect { predicate } => match travel.bisect(predicate) {
+                Ok(b) => {
+                    report.last_ordinal = Some(b.last_ordinal);
+                    report.bisect = Some(b);
                 }
-            }
+                Err(e) => report.error = Some(e.to_string()),
+            },
         }
         report
     }

@@ -361,7 +361,7 @@ fn pause_resume_defers_new_steps_only() {
         "a paused flow never reads as stalled"
     );
     assert_eq!(d.obs().health_flow(&txn), None);
-    assert!(!dgf_dfms::BisectPredicate::Stalled { transaction: txn.clone() }.eval(&d));
+    assert!(!d.holds(&dgf_dgl::BisectSpec::Stalled { transaction: txn.clone() }));
     d.resume(&txn).unwrap();
     let health = d.obs().health_flow(&txn).expect("a resumed flow is watched again");
     assert_eq!((health.state, health.last_progress), (dgf_obs::HealthState::Healthy, d.now()));
@@ -404,6 +404,82 @@ fn a_failed_parallel_node_ends_once() {
     let spans = d.obs().trace_spans(dgf_obs::TraceId(root.trace_id.unwrap()));
     let flow_span = spans.iter().find(|s| Some(s.id.0) == root.span_id).unwrap();
     assert_eq!(flow_span.attrs.iter().filter(|(k, _)| k == "outcome").count(), 1);
+}
+
+/// Once a run has ended, its live sub-flows launch nothing new: a
+/// sequential sibling of the failed branch finishes the step it already
+/// started, then ends `stopped` instead of starting its next one.
+#[test]
+fn a_failed_run_launches_no_new_work() {
+    let mut d = dfms();
+    let doomed = FlowBuilder::sequential("doomed")
+        .step("gone", DglOperation::Delete { path: "/missing".into() })
+        .build()
+        .unwrap();
+    let ingests = FlowBuilder::sequential("ingests")
+        .step("a", ingest_op("/a", 80_000_000))
+        .step("b", ingest_op("/b", 80_000_000))
+        .step("c", ingest_op("/c", 80_000_000))
+        .build()
+        .unwrap();
+    let flow = FlowBuilder::sequential("outer")
+        .flow(FlowBuilder::parallel("fan").flow(doomed).flow(ingests).build().unwrap())
+        .build()
+        .unwrap();
+    let txn = d.submit_flow("u", flow).unwrap();
+    d.pump();
+    assert_eq!(d.status(&txn, None).unwrap().state, RunState::Failed);
+    assert!(d.grid().exists(&path("/a")), "the step already running finishes");
+    assert!(!d.grid().exists(&path("/b")) && !d.grid().exists(&path("/c")), "no later step starts");
+    let records = d.provenance().query(&ProvenanceQuery::transaction(&txn));
+    let record = |node: &str| records.iter().find(|r| r.node == node);
+    assert_eq!(record("/0/1/0").map(|r| r.outcome), Some(StepOutcome::Completed));
+    let cut = record("/0/1").expect("the cut-off sub-flow is recorded");
+    assert_eq!(cut.outcome, StepOutcome::Stopped);
+    assert!(cut.detail.contains("failed"), "{}", cut.detail);
+    assert!(record("/0/1/1").is_none() && record("/0/1/2").is_none());
+    assert_eq!(d.status(&txn, Some("/0/1")).unwrap().children.len(), 1, "later steps are never created");
+
+    // A parallel node whose start was queued before the run failed ends
+    // once, launching none of its children, and cuts off its parent.
+    let late = FlowBuilder::parallel("late")
+        .step("mk0", DglOperation::CreateCollection { path: "/late0".into() })
+        .step("mk1", DglOperation::CreateCollection { path: "/late1".into() })
+        .build()
+        .unwrap();
+    let outer = FlowBuilder::sequential("outer").flow(late).build().unwrap();
+    let doomed = FlowBuilder::for_each_in_collection("doomed", "f", "no-such-collection")
+        .step("note", DglOperation::Notify { message: "${f}".into() })
+        .build()
+        .unwrap();
+    let txn = d.submit_flow("u", FlowBuilder::parallel("fan").flow(outer).flow(doomed).build().unwrap()).unwrap();
+    d.pump();
+    assert_eq!(d.status(&txn, None).unwrap().state, RunState::Failed);
+    let records = d.provenance().query(&ProvenanceQuery::transaction(&txn));
+    let nodes: Vec<(&str, StepOutcome)> = records.iter().map(|r| (r.node.as_str(), r.outcome)).collect();
+    use StepOutcome::{Failed, Stopped};
+    assert_eq!(nodes, [("/1", Failed), ("/", Failed), ("/0/0", Stopped), ("/0", Stopped)]);
+    assert!(!d.grid().exists(&path("/late0")) && !d.grid().exists(&path("/late1")));
+}
+
+/// A for-each binds each item as the text it resolved to: an item that
+/// looks like a template is not interpolated a second time.
+#[test]
+fn foreach_items_bind_as_resolved() {
+    let mut d = dfms();
+    let now = SimTime::ZERO;
+    d.grid_mut().execute("u", Operation::CreateCollection { path: path("/in") }, now).unwrap();
+    let odd = path("/in/run${x}.dat");
+    d.grid_mut().execute("u", Operation::Ingest { path: odd.clone(), size: 10, resource: "site0-disk".into() }, now).unwrap();
+    let flow = FlowBuilder::for_each_in_collection("sweep", "f", "/in")
+        .step("tag", DglOperation::SetMetadata { path: "${f}".into(), attribute: "swept".into(), value: "yes".into() })
+        .build()
+        .unwrap();
+    let txn = d.submit_flow("u", flow).unwrap();
+    d.pump();
+    let report = d.status(&txn, None).unwrap();
+    assert_eq!(report.state, RunState::Completed, "{report}");
+    assert!(d.grid().stat_object(&odd).unwrap().metadata.iter().any(|t| t.attribute == "swept"));
 }
 
 #[test]

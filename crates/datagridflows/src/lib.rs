@@ -128,9 +128,9 @@ pub mod journal {
 pub mod prelude {
     pub use crate::baselines::{ClientCrash, ClientSideEngine, CronEntry, CronRule, CronScriptIlm};
     pub use crate::dfms::{
-        BisectOutcome, BisectPredicate, Dfms, DfmsServer, EngineMetrics,
-        JournalConfig, Materialized, ProvenanceError, ProvenanceQuery, ProvenanceRecord,
-        ProvenanceStore, RunOptions, StateDiff, StepOutcome, SyncPolicy, TimeTravel,
+        Dfms, DfmsServer, EngineMetrics, JournalConfig, Materialized, ProvenanceError,
+        ProvenanceQuery, ProvenanceRecord, ProvenanceStore, RunOptions, StateDiff, StepOutcome,
+        SyncPolicy, TimeTravel,
     };
     pub use crate::dgl::{
         BisectSpec, DataGridRequest, DataGridResponse, DglOperation, ErrorPolicy, Expr, Flow,
@@ -141,8 +141,8 @@ pub mod prelude {
         TelemetryReport, TimeTravelQuery, TimeTravelReport, ValidationReport, Value,
     };
     // The attribution (dgf-why) wire pair. dgf-obs's attribution store
-    // classifies and reports with these same `WaitState` / `AlertState`
-    // / `WhyBottleneck` types.
+    // classifies and reports with these same `WhyPath` / `WaitState` /
+    // `AlertState` / `WhyBottleneck` types.
     pub use crate::dgl::{
         AlertState, WaitState, WhyAlert, WhyBottleneck, WhyPath, WhyQuery, WhyReport, WhySegment,
     };

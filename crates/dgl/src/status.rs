@@ -61,16 +61,7 @@ impl RunState {
 
 impl fmt::Display for RunState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            RunState::Pending => "pending",
-            RunState::Running => "running",
-            RunState::Paused => "paused",
-            RunState::Completed => "completed",
-            RunState::Failed => "failed",
-            RunState::Stopped => "stopped",
-            RunState::Skipped => "skipped",
-        };
-        f.write_str(s)
+        f.write_str(self.as_str())
     }
 }
 

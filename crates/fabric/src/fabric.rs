@@ -63,7 +63,6 @@ struct SubFlow {
     /// Last virtual time an ack for this sub applied at.
     ack_vt: u64,
     sent: bool,
-    acked: bool,
     ack_published: bool,
     span: Option<SpanContext>,
 }
@@ -77,7 +76,6 @@ struct FederatedRun {
     parallel: bool,
     state: RunState,
     subs: Vec<SubFlow>,
-    completed_logged: bool,
     span: Option<SpanContext>,
 }
 
@@ -106,13 +104,12 @@ impl FederatedRun {
                 steps_total: 0,
                 ack_vt: 0,
                 sent: false,
-                acked: false,
                 ack_published: false,
                 span: None,
             })
             .collect();
         let state = RunState::Running;
-        FederatedRun { name, user, home, parallel, state, subs, completed_logged: false, span: None }
+        FederatedRun { name, user, home, parallel, state, subs, span: None }
     }
 }
 
@@ -140,10 +137,12 @@ pub struct Fabric {
     /// Engine and federated transactions → owning shard.
     txn_home: BTreeMap<String, String>,
     fed: BTreeMap<String, FederatedRun>,
+    /// Sub-flows `(txn, index)` that were delegated, whose child is
+    /// known and whose ack is not yet on the bus: the only ones a pump
+    /// pass checks for a finished child.
+    awaiting: BTreeSet<(String, usize)>,
     fed_counter: u64,
     bus_seq: u64,
-    published: u64,
-    delivered: u64,
     /// Published, undelivered envelopes in delivery order (vt, seq).
     in_flight: BTreeMap<(u64, u64), BusEnvelope>,
     crash: Option<(u64, BusCrashPoint)>,
@@ -171,10 +170,9 @@ impl Fabric {
             prefixes: BTreeMap::new(),
             txn_home: BTreeMap::new(),
             fed: BTreeMap::new(),
+            awaiting: BTreeSet::new(),
             fed_counter: 0,
             bus_seq: 1,
-            published: 0,
-            delivered: 0,
             in_flight: BTreeMap::new(),
             crash: None,
             deliveries: 0,
@@ -571,13 +569,11 @@ impl Fabric {
         if let Some(shard) = self.shards.get_mut(from) {
             shard.sent += 1;
         }
-        self.published += 1;
         self.obs.inc("fabric", "bus.published");
     }
 
     /// An envelope to `to` was delivered and applied.
     fn note_delivered(&mut self, to: &str) {
-        self.delivered += 1;
         if let Some(shard) = self.shards.get_mut(to) {
             shard.received += 1;
         }
@@ -602,7 +598,6 @@ impl Fabric {
     fn settle(&mut self, txn: &str, state: RunState, vt: u64) {
         let Some(run) = self.fed.get_mut(txn) else { return };
         run.state = state;
-        run.completed_logged = true;
         if let Some(span) = run.span {
             self.obs.span_attr(span, "state", state.as_str());
             self.obs.span_end_at(span, SimTime(vt));
@@ -625,11 +620,24 @@ impl Fabric {
     }
 
     /// Sub-flow `node` of run `origin` runs as transaction `child` on
-    /// shard `owner`.
+    /// shard `owner`: until its ack is published, it awaits one.
     fn child_known(&mut self, origin: &str, node: &str, child: String, owner: &str) {
         self.note_txn_home(child.clone(), owner);
-        if let Some(sub) = self.sub_mut(origin, node) {
-            sub.child_txn = Some(child);
+        let Some(run) = self.fed.get_mut(origin) else { return };
+        let Some(i) = run.subs.iter().position(|s| s.node == node) else { return };
+        let sub = &mut run.subs[i];
+        sub.child_txn = Some(child);
+        if sub.sent && !sub.state.is_terminal() && !sub.ack_published {
+            self.awaiting.insert((origin.to_owned(), i));
+        }
+    }
+
+    /// The ack for sub-flow `i` of run `origin` is on the bus: it awaits
+    /// no other.
+    fn note_ack_published(&mut self, origin: &str, i: usize) {
+        if let Some(sub) = self.fed.get_mut(origin).and_then(|run| run.subs.get_mut(i)) {
+            sub.ack_published = true;
+            self.awaiting.remove(&(origin.to_owned(), i));
         }
     }
 
@@ -645,7 +653,6 @@ impl Fabric {
         sub.steps_completed = *steps_completed;
         sub.steps_total = *steps_total;
         sub.ack_vt = env.vt;
-        sub.acked = true;
         if !child_txn.is_empty() {
             sub.child_txn = Some(child_txn.clone());
         }
@@ -655,9 +662,9 @@ impl Fabric {
         }
     }
 
-    /// Sub-flow `node` of federated run `txn`, found by name.
-    fn sub_mut(&mut self, txn: &str, node: &str) -> Option<&mut SubFlow> {
-        self.fed.get_mut(txn)?.subs.iter_mut().find(|s| s.node == node)
+    /// The index of sub-flow `node` of federated run `txn`.
+    fn sub_index(&self, txn: &str, node: &str) -> Option<usize> {
+        self.fed.get(txn)?.subs.iter().position(|s| s.node == node)
     }
 
     // ------------------------------------------------------------------
@@ -707,54 +714,34 @@ impl Fabric {
         Ok(shard.engine.pump())
     }
 
-    /// Scan delegated sub-flows for newly terminal children and publish
-    /// their acks. Returns true when anything was published.
+    /// Publish the acks of awaiting sub-flows whose children have
+    /// finished, in `(txn, index)` order. Returns true when anything was
+    /// published.
     fn publish_ready_acks(&mut self) -> Result<bool, FabricError> {
-        let mut progressed = false;
-        let txns: Vec<String> = self.fed.keys().cloned().collect();
-        for txn in txns {
-            let sub_count = self.fed.get(&txn).map(|r| r.subs.len()).unwrap_or(0);
-            for i in 0..sub_count {
-                let (ready, owner, home, node, child) = {
-                    let run = self.fed.get(&txn).expect("scanned run exists");
-                    let sub = &run.subs[i];
-                    let ready = sub.sent && !sub.acked && !sub.ack_published && sub.child_txn.is_some();
-                    (
-                        ready,
-                        sub.owner.clone(),
-                        run.home.clone(),
-                        sub.node.clone(),
-                        sub.child_txn.clone().unwrap_or_default(),
-                    )
-                };
-                if !ready {
-                    continue;
-                }
-                let status = self
-                    .shards
-                    .get(&owner)
-                    .expect("sub owner exists")
-                    .engine
-                    .status(&child, None)?;
-                if !status.state.is_terminal() {
-                    continue;
-                }
-                let env = self.envelope(
-                    owner,
-                    home,
-                    BusPayload::Ack {
-                        origin: txn.clone(),
-                        node,
-                        child_txn: child,
-                        state: status.state,
-                        steps_completed: status.steps_completed as u64,
-                        steps_total: status.steps_total as u64,
-                    },
-                );
-                self.publish(env)?;
-                self.fed.get_mut(&txn).expect("scanned run exists").subs[i].ack_published = true;
-                progressed = true;
+        let mut ready = Vec::new();
+        for (txn, i) in &self.awaiting {
+            let sub = &self.fed[txn].subs[*i];
+            let child = sub.child_txn.as_deref().expect("an awaiting sub knows its child");
+            let status = self.shards.get(&sub.owner).expect("sub owner exists").engine.status(child, None)?;
+            if status.state.is_terminal() {
+                ready.push((txn.clone(), *i, child.to_owned(), status));
             }
+        }
+        let progressed = !ready.is_empty();
+        for (txn, i, child_txn, status) in ready {
+            let run = &self.fed[&txn];
+            let (owner, home, node) = (run.subs[i].owner.clone(), run.home.clone(), run.subs[i].node.clone());
+            let ack = BusPayload::Ack {
+                origin: txn.clone(),
+                node,
+                child_txn,
+                state: status.state,
+                steps_completed: status.steps_completed as u64,
+                steps_total: status.steps_total as u64,
+            };
+            let env = self.envelope(owner, home, ack);
+            self.publish(env)?;
+            self.note_ack_published(&txn, i);
         }
         Ok(progressed)
     }
@@ -829,8 +816,8 @@ impl Fabric {
                             },
                         );
                         self.publish(ack)?;
-                        if let Some(sub) = self.sub_mut(origin, node) {
-                            sub.ack_published = true;
+                        if let Some(i) = self.sub_index(origin, node) {
+                            self.note_ack_published(origin, i);
                         }
                     }
                 }
@@ -858,29 +845,28 @@ impl Fabric {
         if run.state.is_terminal() {
             return Ok(());
         }
-        let failed = run.subs.iter().any(|s| s.acked && s.state != RunState::Completed);
+        // A sub-flow is settled once its state is terminal: acked, or
+        // skipped below.
+        let failed = run.subs.iter().any(|s| s.state.is_terminal() && s.state != RunState::Completed);
         if failed && !run.parallel {
             // A sequential failure strands everything after it.
             for sub in run.subs.iter_mut().filter(|s| !s.sent) {
                 sub.state = RunState::Skipped;
-                sub.acked = true;
             }
         }
         let to_send: Vec<usize> = if run.parallel {
             run.subs
                 .iter()
                 .enumerate()
-                .filter(|(_, s)| !s.sent && !s.acked)
+                .filter(|(_, s)| !s.sent && !s.state.is_terminal())
                 .map(|(i, _)| i)
                 .collect()
         } else if failed {
             Vec::new()
         } else {
             // The first unsent sub whose predecessors all completed.
-            match run.subs.iter().position(|s| !s.sent && !s.acked) {
-                Some(i) if run.subs[..i].iter().all(|s| s.acked && s.state == RunState::Completed) => {
-                    vec![i]
-                }
+            match run.subs.iter().position(|s| !s.sent && !s.state.is_terminal()) {
+                Some(i) if run.subs[..i].iter().all(|s| s.state == RunState::Completed) => vec![i],
                 _ => Vec::new(),
             }
         };
@@ -888,27 +874,24 @@ impl Fabric {
             self.delegate(txn, i)?;
         }
         let run = self.fed.get(txn).expect("advanced run exists");
-        if run.subs.iter().all(|s| s.acked) {
+        if run.subs.iter().all(|s| s.state.is_terminal()) {
             self.finalize(txn)?;
         }
         Ok(())
     }
 
-    /// Settle a federated run: journal the `complete` frame in the
+    /// Settle a live federated run: journal the `complete` frame in the
     /// home bus WAL and close the parent span.
     fn finalize(&mut self, txn: &str) -> Result<(), FabricError> {
-        let (home, state, already) = {
+        let (home, state) = {
             let run = self.fed.get(txn).expect("finalizing a known run");
             let state = if run.subs.iter().all(|s| s.state == RunState::Completed) {
                 RunState::Completed
             } else {
                 RunState::Failed
             };
-            (run.home.clone(), state, run.completed_logged)
+            (run.home.clone(), state)
         };
-        if already {
-            return Ok(());
-        }
         let vt = self.now_of(&home);
         self.append_bus(
             &home,
@@ -1033,8 +1016,8 @@ impl Fabric {
             federated: true,
             shards,
             bus: FederationBus {
-                published: self.published,
-                delivered: self.delivered,
+                published: self.shards.values().map(|s| s.sent).sum(),
+                delivered: self.shards.values().map(|s| s.received).sum(),
                 in_flight: self.in_flight.len() as u64,
                 next_seq: self.bus_seq,
             },
@@ -1159,7 +1142,7 @@ impl Fabric {
                 BusPayload::Delegate { origin, node, .. } => {
                     // Mark the sender side regardless: the send frame
                     // proves the delegate was published.
-                    if let Some(i) = self.fed.get(origin).and_then(|r| r.subs.iter().position(|s| s.node == *node)) {
+                    if let Some(i) = self.sub_index(origin, node) {
                         self.delegate_sent(origin, i, vt);
                     }
                     let lineage = format!("fed:{origin}/{node}");
@@ -1185,8 +1168,8 @@ impl Fabric {
                     // The ack's entire effect is recorded in the frame
                     // itself, so the receiver-side frame is the whole
                     // applied-ness story.
-                    if let Some(sub) = self.sub_mut(origin, node) {
-                        sub.ack_published = true;
+                    if let Some(i) = self.sub_index(origin, node) {
+                        self.note_ack_published(origin, i);
                     }
                     if frame_received {
                         self.note_delivered(&env.to);
@@ -1205,7 +1188,7 @@ impl Fabric {
         for (txn, (state, vt)) in completes {
             self.settle(&txn, state, vt);
         }
-        self.deliveries = self.delivered;
+        self.deliveries = self.shards.values().map(|s| s.received).sum();
         self.obs.set_now(SimTime(self.max_vt()));
         Ok(())
     }

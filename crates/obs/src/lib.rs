@@ -55,8 +55,8 @@ pub use event::{EventKind, ObsEvent};
 pub use health::{FlowHealth, HealthConfig, HealthMonitor, HealthState, HealthTransition};
 pub use metrics::{percentile, MetricSample, MetricValue, MetricsRegistry, MetricsSnapshot, SimHistogram};
 pub use perfetto::{
-    decode_perfetto, to_perfetto_trace, to_perfetto_trace_with_profile, PerfettoEvent,
-    PerfettoPacket, PerfettoTrack, SLICE_BEGIN, SLICE_END,
+    decode_perfetto, to_perfetto_trace, PerfettoEvent, PerfettoPacket, PerfettoTrack, SLICE_BEGIN,
+    SLICE_END,
 };
 pub use prof::{
     allocations, CountingAllocator, Phase, PhaseStats, ProfileNode, ProfileSnapshot, Profiler,
@@ -65,11 +65,12 @@ pub use recorder::{EventTail, FlightRecorder, DEFAULT_RING_CAPACITY};
 pub use ring::RingBuffer;
 pub use span::{Span, SpanContext, SpanId, SpanKind, TraceId};
 pub use timeseries::{render_scrape, Rollup, SamplingConfig, SeriesPoint, TimeSeries, TimeSeriesStore};
-pub use trace_export::{to_chrome_trace, to_chrome_trace_with_profile};
-pub use why::{critical_path, CriticalPath, PathSegment, SlaAlert, WaitMark};
+pub use trace_export::to_chrome_trace;
+pub use why::{critical_path, SlaAlert, WaitMark};
 
-use dgf_dgl::{AlertState, WaitState, WhyBottleneck};
+use dgf_dgl::{AlertState, WaitState, WhyBottleneck, WhyPath};
 use dgf_simgrid::{Duration, SimTime};
+use std::collections::BTreeMap;
 
 /// The observability state of one engine or fabric: flight recorder,
 /// metrics registry, spans, time series, health watchdog, phase
@@ -155,19 +156,9 @@ impl Obs {
         self.recorder.events()
     }
 
-    /// The `n` most recent retained events, oldest first.
-    pub fn recent_events(&self, n: usize) -> Vec<ObsEvent> {
-        self.recorder.recent(n)
-    }
-
     /// Count of events ever recorded (including evicted ones).
     pub fn events_total(&self) -> u64 {
         self.recorder.total()
-    }
-
-    /// Count of events evicted by the bounded ring.
-    pub fn events_dropped(&self) -> u64 {
-        self.recorder.dropped()
     }
 
     /// A point-in-time copy of every metric recorded here, including the
@@ -175,8 +166,13 @@ impl Obs {
     /// gauges, nearest-rank over completed spans' sim-time durations).
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
-        for (kind, durations) in self.traces.durations() {
-            let mut sorted = durations.clone();
+        let mut durations: BTreeMap<SpanKind, Vec<u64>> = BTreeMap::new();
+        for span in self.traces.spans() {
+            if let Some(us) = span.duration_us() {
+                durations.entry(span.kind).or_default().push(us);
+            }
+        }
+        for (kind, mut sorted) in durations {
             sorted.sort_unstable();
             for (p, tag) in [(50.0, "p50_us"), (95.0, "p95_us"), (99.0, "p99_us")] {
                 snap.insert(
@@ -208,11 +204,6 @@ impl Obs {
     /// ring capacity). Existing points are kept.
     pub fn ts_configure(&mut self, config: SamplingConfig) {
         self.timeseries.set_config(config);
-    }
-
-    /// The active sampling schedule.
-    pub fn ts_config(&self) -> SamplingConfig {
-        self.timeseries.config()
     }
 
     /// True when at least one sampling interval has elapsed (on the
@@ -425,7 +416,7 @@ impl Obs {
     }
 
     /// Every completed flow's critical path, in completion order.
-    pub fn why_paths(&self) -> &[CriticalPath] {
+    pub fn why_paths(&self) -> &[WhyPath] {
         self.why.paths()
     }
 
@@ -522,21 +513,6 @@ impl Obs {
     /// Drop every accumulated profile node (and any open scopes).
     pub fn profile_reset(&mut self) {
         self.prof.reset();
-    }
-
-    /// Chrome trace export with the phase profile merged in as a
-    /// synthetic `dgf-prof` timeline (see
-    /// [`to_chrome_trace_with_profile`]). Report-only: the profile
-    /// slices carry wall-clock widths and vary between runs.
-    pub fn export_chrome_trace_with_profile(&self) -> String {
-        to_chrome_trace_with_profile(self.traces.spans(), &self.prof.snapshot())
-    }
-
-    /// Perfetto export with the phase profile merged in as a synthetic
-    /// `dgf-prof` track (see [`to_perfetto_trace_with_profile`]).
-    /// Report-only, like its Chrome sibling.
-    pub fn export_perfetto_trace_with_profile(&self) -> Vec<u8> {
-        to_perfetto_trace_with_profile(self.traces.spans(), &self.prof.snapshot())
     }
 }
 

@@ -30,7 +30,6 @@
 //! test-suite round-trips large traces through it to prove the writer
 //! emits well-formed protobuf end to end.
 
-use crate::prof::{ProfileNode, ProfileSnapshot};
 use crate::span::Span;
 
 // ---------------------------------------------------------------------
@@ -124,57 +123,6 @@ struct Placed<'a> {
 /// pure function of the input — byte-identical across reruns of a
 /// seeded scenario.
 pub fn to_perfetto_trace(spans: &[Span]) -> Vec<u8> {
-    encode_spans(spans).0
-}
-
-/// [`to_perfetto_trace`] plus the phase profile as a flamegraph-style
-/// slice stack on an extra `dgf-prof` track: each profile node becomes
-/// a begin/end pair whose width is its accumulated wall time, children
-/// nested inside their parent from its start.
-///
-/// The profile timeline is *synthetic* — ticks are wall nanoseconds
-/// starting at zero, unrelated to the spans' simulation microseconds —
-/// and report-only: wall times vary between runs, so this export is
-/// never part of a determinism gate (use [`to_perfetto_trace`] there).
-pub fn to_perfetto_trace_with_profile(spans: &[Span], profile: &ProfileSnapshot) -> Vec<u8> {
-    let (mut out, next_uuid) = encode_spans(spans);
-    if profile.is_empty() {
-        return out;
-    }
-    let prof_uuid = next_uuid;
-    emit_track_descriptor(&mut out, prof_uuid, "dgf-prof", None);
-    // Per-depth layout cursors over the synthetic wall-ns timeline,
-    // mirroring `to_chrome_trace_with_profile`. Snapshot nodes arrive
-    // in DFS order, so an open-scope stack turns the flat list back
-    // into properly nested begin/end packet pairs.
-    let mut cursors: Vec<u64> = Vec::new();
-    let mut open: Vec<(usize, u64)> = Vec::new(); // (depth, end ts ns)
-    for node in &profile.nodes {
-        let depth = node.depth as usize;
-        cursors.truncate(depth + 1);
-        if cursors.len() <= depth {
-            cursors.resize(depth + 1, 0);
-        }
-        let start = cursors[depth];
-        let end = start + node.stats.wall_ns;
-        cursors[depth] = end;
-        cursors.push(start); // children start at this node's start
-        while open.last().is_some_and(|&(d, _)| d >= depth) {
-            let (_, close) = open.pop().expect("checked non-empty");
-            emit_profile_end(&mut out, close, prof_uuid);
-        }
-        emit_profile_begin(&mut out, start, prof_uuid, node);
-        open.push((depth, end));
-    }
-    while let Some((_, close)) = open.pop() {
-        emit_profile_end(&mut out, close, prof_uuid);
-    }
-    out
-}
-
-/// Shared span encoder; returns the packet stream and the next unused
-/// track uuid so callers can append further tracks.
-fn encode_spans(spans: &[Span]) -> (Vec<u8>, u64) {
     let mut out = Vec::with_capacity(spans.len() * 96 + 64);
     let mut next_uuid: u64 = 1;
     let mut placed: Vec<Placed<'_>> = Vec::with_capacity(spans.len());
@@ -238,7 +186,7 @@ fn encode_spans(spans: &[Span]) -> (Vec<u8>, u64) {
             emit_slice_end(&mut out, ts, p.lane_uuid);
         }
     }
-    (out, next_uuid)
+    out
 }
 
 fn emit_track_descriptor(out: &mut Vec<u8>, uuid: u64, name: &str, parent: Option<u64>) {
@@ -291,38 +239,12 @@ fn emit_slice_end(out: &mut Vec<u8>, ts_us: u64, track_uuid: u64) {
 }
 
 fn emit_event_packet(out: &mut Vec<u8>, ts_us: u64, event: &[u8]) {
-    // Simulation µs → Perfetto ns.
-    emit_event_packet_ns(out, ts_us.saturating_mul(1000), event);
-}
-
-fn emit_event_packet_ns(out: &mut Vec<u8>, ts_ns: u64, event: &[u8]) {
     let mut packet = Vec::with_capacity(event.len() + 16);
-    put_varint_field(&mut packet, TIMESTAMP, ts_ns);
+    // Simulation µs → Perfetto ns.
+    put_varint_field(&mut packet, TIMESTAMP, ts_us.saturating_mul(1000));
     put_len_field(&mut packet, TRACK_EVENT, event);
     put_varint_field(&mut packet, SEQUENCE_ID, SEQUENCE);
     put_len_field(out, PACKET, &packet);
-}
-
-fn emit_profile_begin(out: &mut Vec<u8>, ts_ns: u64, track_uuid: u64, node: &ProfileNode) {
-    let mut event = Vec::with_capacity(96);
-    let ann = |event: &mut Vec<u8>, k: &str, v: &str| {
-        put_len_field(event, EVENT_ANNOTATIONS, &annotation(k, v));
-    };
-    ann(&mut event, "calls", &node.stats.calls.to_string());
-    ann(&mut event, "sim_us", &node.stats.sim_us.to_string());
-    ann(&mut event, "allocs", &node.stats.allocs.to_string());
-    put_varint_field(&mut event, EVENT_TYPE, SLICE_BEGIN);
-    put_varint_field(&mut event, EVENT_TRACK_UUID, track_uuid);
-    put_str_field(&mut event, EVENT_CATEGORIES, "dgf-prof");
-    put_str_field(&mut event, EVENT_NAME, node.phase.name());
-    emit_event_packet_ns(out, ts_ns, &event);
-}
-
-fn emit_profile_end(out: &mut Vec<u8>, ts_ns: u64, track_uuid: u64) {
-    let mut event = Vec::with_capacity(8);
-    put_varint_field(&mut event, EVENT_TYPE, SLICE_END);
-    put_varint_field(&mut event, EVENT_TRACK_UUID, track_uuid);
-    emit_event_packet_ns(out, ts_ns, &event);
 }
 
 // ---------------------------------------------------------------------
@@ -623,65 +545,5 @@ mod tests {
     fn export_is_deterministic() {
         let spans = vec![span(1, 1, 100, Some(400)), span(2, 1, 150, None)];
         assert_eq!(to_perfetto_trace(&spans), to_perfetto_trace(&spans));
-    }
-
-    #[test]
-    fn profile_merge_round_trips_with_a_dgf_prof_track() {
-        use crate::prof::{Phase, Profiler};
-        let mut p = Profiler::new();
-        p.enter(Phase::StepExecute, SimTime(0));
-        p.enter(Phase::Schedule, SimTime(5));
-        p.exit(Phase::Schedule, SimTime(7));
-        p.exit(Phase::StepExecute, SimTime(9));
-        p.enter(Phase::DglParse, SimTime(10));
-        p.exit(Phase::DglParse, SimTime(11));
-        let spans = vec![span(1, 1, 100, Some(400))];
-        let bytes = to_perfetto_trace_with_profile(&spans, &p.snapshot());
-        let packets = decode_perfetto(&bytes).unwrap();
-
-        let prof_track = packets
-            .iter()
-            .filter_map(|p| p.track.as_ref())
-            .find(|t| t.name == "dgf-prof")
-            .expect("profile track present");
-        let span_uuids: Vec<u64> = packets
-            .iter()
-            .filter_map(|p| p.track.as_ref())
-            .filter(|t| t.name != "dgf-prof")
-            .map(|t| t.uuid)
-            .collect();
-        assert!(!span_uuids.contains(&prof_track.uuid), "uuid does not collide");
-
-        let prof_events: Vec<_> = packets
-            .iter()
-            .filter_map(|p| p.event.as_ref())
-            .filter(|e| e.track_uuid == prof_track.uuid)
-            .collect();
-        let begins: Vec<_> =
-            prof_events.iter().filter(|e| e.event_type == SLICE_BEGIN).collect();
-        let ends = prof_events.iter().filter(|e| e.event_type == SLICE_END).count();
-        assert_eq!(begins.len(), 3, "one begin per profile node");
-        assert_eq!(ends, 3, "every profile slice closes");
-        // Snapshot DFS visits roots in phase-id order: dgl-parse
-        // precedes step-execute, whose child schedule follows it.
-        assert_eq!(begins[0].name.as_deref(), Some("dgl-parse"));
-        assert_eq!(begins[1].name.as_deref(), Some("step-execute"));
-        assert_eq!(begins[2].name.as_deref(), Some("schedule"));
-        assert!(begins[1].annotations.contains(&("sim_us".into(), "9".into())));
-        assert!(begins[2].annotations.contains(&("calls".into(), "1".into())));
-        // The base span stream still round-trips alongside the profile.
-        assert!(packets
-            .iter()
-            .filter_map(|p| p.event.as_ref())
-            .any(|e| e.name.as_deref() == Some("s1")));
-    }
-
-    #[test]
-    fn empty_profile_merge_matches_plain_export() {
-        let spans = vec![span(1, 1, 100, Some(400))];
-        assert_eq!(
-            to_perfetto_trace_with_profile(&spans, &Default::default()),
-            to_perfetto_trace(&spans)
-        );
     }
 }

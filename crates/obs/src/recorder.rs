@@ -18,19 +18,17 @@ pub const DEFAULT_RING_CAPACITY: usize = 4096;
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     ring: RingBuffer<ObsEvent>,
-    next_seq: u64,
 }
 
 impl FlightRecorder {
     /// A recorder retaining at most `capacity` events.
     pub fn new(capacity: usize) -> Self {
-        FlightRecorder { ring: RingBuffer::new(capacity), next_seq: 0 }
+        FlightRecorder { ring: RingBuffer::new(capacity) }
     }
 
     /// Record one event at simulation time `time`.
     pub fn record(&mut self, time: SimTime, kind: EventKind) -> &ObsEvent {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.ring.total();
         self.ring.push(ObsEvent { seq, time, kind });
         self.ring.iter().last().expect("just pushed")
     }
@@ -38,13 +36,6 @@ impl FlightRecorder {
     /// Retained events, oldest first.
     pub fn events(&self) -> Vec<ObsEvent> {
         self.ring.iter().cloned().collect()
-    }
-
-    /// The `n` most recent retained events, oldest first.
-    pub fn recent(&self, n: usize) -> Vec<ObsEvent> {
-        let events: Vec<_> = self.ring.iter().cloned().collect();
-        let skip = events.len().saturating_sub(n);
-        events.into_iter().skip(skip).collect()
     }
 
     /// Count of events ever recorded.
@@ -71,7 +62,7 @@ impl FlightRecorder {
     /// evicted before the reader caught up is reported explicitly as
     /// [`EventTail::dropped`] rather than silently skipped.
     pub fn tail(&self, cursor: u64, limit: usize) -> EventTail {
-        let oldest_retained = self.next_seq - self.ring.len() as u64;
+        let oldest_retained = self.ring.total() - self.ring.len() as u64;
         let dropped = oldest_retained.saturating_sub(cursor);
         let start = cursor.max(oldest_retained);
         let events: Vec<ObsEvent> =
@@ -234,18 +225,5 @@ mod tests {
         assert!(page.events.is_empty());
         assert_eq!(page.dropped, 0);
         assert_eq!(page.next_cursor, 99, "a future cursor is preserved, not rewound");
-    }
-
-    #[test]
-    fn recent_takes_the_tail() {
-        let mut r = FlightRecorder::new(8);
-        for i in 0..6 {
-            r.record(SimTime(i), fired(i as u32));
-        }
-        let tail = r.recent(2);
-        assert_eq!(tail.len(), 2);
-        assert_eq!(tail[0].seq, 4);
-        assert_eq!(tail[1].seq, 5);
-        assert_eq!(r.recent(100).len(), 6, "asking for more than retained is fine");
     }
 }

@@ -146,11 +146,6 @@ impl TimeSeriesStore {
         TimeSeriesStore { config, last_sample: None, series: BTreeMap::new() }
     }
 
-    /// The active sampling configuration.
-    pub fn config(&self) -> SamplingConfig {
-        self.config
-    }
-
     /// Replace the schedule. Existing points are kept; existing series
     /// keep their old capacity (new series use the new one).
     pub fn set_config(&mut self, config: SamplingConfig) {
@@ -169,11 +164,6 @@ impl TimeSeriesStore {
     /// Note that a full sample pass happened at `now`.
     pub fn mark_sampled(&mut self, now: SimTime) {
         self.last_sample = Some(now);
-    }
-
-    /// Sim-time of the last sample pass.
-    pub fn last_sampled(&self) -> Option<SimTime> {
-        self.last_sample
     }
 
     /// Append a point to the `(name, label)` series, creating it on
@@ -203,11 +193,6 @@ impl TimeSeriesStore {
             .iter()
             .filter_map(|((n, l), s)| s.rollup().map(|r| (n.clone(), l.clone(), r)))
             .collect()
-    }
-
-    /// Number of distinct series.
-    pub fn series_count(&self) -> usize {
-        self.series.len()
     }
 }
 

@@ -1,5 +1,5 @@
 //! The trace store: append-only span storage with deterministic id
-//! allocation and per-kind latency accounting.
+//! allocation.
 //!
 //! One [`TraceStore`] lives inside the shared [`crate::Obs`] handle,
 //! next to the flight recorder and the metrics registry, so every
@@ -17,7 +17,6 @@
 
 use crate::span::{Span, SpanContext, SpanId, SpanKind, TraceId};
 use dgf_simgrid::SimTime;
-use std::collections::BTreeMap;
 
 /// Append-only span storage. Ids come from monotonic counters so a
 /// seeded run records the identical trace every time.
@@ -28,9 +27,6 @@ pub(crate) struct TraceStore {
     /// Trace ids run from 1, so trace `t` is entry `t - 1`; the length
     /// is the number of traces allocated so far.
     by_trace: Vec<Vec<u32>>,
-    /// Completed-span durations (µs) per kind, in completion order;
-    /// sorted copies feed the percentile gauges at snapshot time.
-    durations: BTreeMap<SpanKind, Vec<u64>>,
 }
 
 impl TraceStore {
@@ -79,10 +75,7 @@ impl TraceStore {
             return None;
         }
         span.end = Some(time);
-        let kind = span.kind;
-        let dur = time.0.saturating_sub(span.start.0);
-        self.durations.entry(kind).or_default().push(dur);
-        Some((kind, dur))
+        Some((span.kind, time.0.saturating_sub(span.start.0)))
     }
 
     /// Append an attribute to an open or closed span.
@@ -102,11 +95,6 @@ impl TraceStore {
     pub(crate) fn trace_spans(&self, trace: TraceId) -> Vec<Span> {
         let positions = slot(trace).and_then(|t| self.by_trace.get(t));
         positions.into_iter().flatten().map(|&pos| self.spans[pos as usize].clone()).collect()
-    }
-
-    /// Completed durations per kind (completion order, unsorted).
-    pub(crate) fn durations(&self) -> &BTreeMap<SpanKind, Vec<u64>> {
-        &self.durations
     }
 
     fn get_mut(&mut self, id: SpanId) -> Option<&mut Span> {
@@ -173,7 +161,7 @@ mod tests {
         let ctx = store.start(SimTime(10), SpanKind::DgmsOp, "ingest", None);
         assert_eq!(store.end(ctx, SimTime(35)), Some((SpanKind::DgmsOp, 25)));
         assert_eq!(store.end(ctx, SimTime(99)), None, "second close is ignored");
-        assert_eq!(store.durations()[&SpanKind::DgmsOp], vec![25]);
+        assert_eq!(store.spans()[0].duration_us(), Some(25));
         assert_eq!(store.spans()[0].end, Some(SimTime(35)));
     }
 

@@ -8,7 +8,6 @@
 //! two identically-seeded runs export byte-identical JSON.
 
 use crate::metrics::json_escape;
-use crate::prof::ProfileSnapshot;
 use crate::span::Span;
 use std::fmt::Write as _;
 
@@ -19,57 +18,6 @@ use std::fmt::Write as _;
 /// along in `args` for tools that want to rebuild the hierarchy.
 pub fn to_chrome_trace(spans: &[Span]) -> String {
     let mut out = String::from("{\"traceEvents\":[");
-    write_span_events(&mut out, spans);
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
-}
-
-/// [`to_chrome_trace`] plus the phase profile as a flamegraph-style
-/// timeline on a synthetic `dgf-prof` process (`pid` 2): each profile
-/// node becomes one complete event whose width is its accumulated
-/// wall time, children laid out inside their parent from its start.
-///
-/// The profile timeline is *synthetic* — its tick unit is wall
-/// nanoseconds starting at zero, unrelated to the spans' simulation
-/// microseconds — and report-only: wall times vary between runs, so
-/// this export is never part of a determinism gate (use
-/// [`to_chrome_trace`] there).
-pub fn to_chrome_trace_with_profile(spans: &[Span], profile: &ProfileSnapshot) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    write_span_events(&mut out, spans);
-    let mut first = spans.is_empty();
-    // Per-depth layout cursors over the synthetic ns timeline.
-    let mut cursors: Vec<u64> = Vec::new();
-    for node in &profile.nodes {
-        let depth = node.depth as usize;
-        cursors.truncate(depth + 1);
-        if cursors.len() <= depth {
-            cursors.resize(depth + 1, 0);
-        }
-        let start = cursors[depth];
-        let dur = node.stats.wall_ns;
-        cursors[depth] = start + dur;
-        cursors.push(start); // children start at this node's start
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"cat\":\"dgf-prof\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":2,\"tid\":0,\"args\":{{\"calls\":\"{}\",\"sim_us\":\"{}\",\"allocs\":\"{}\"}}}}",
-            json_escape(node.phase.name()),
-            start,
-            dur,
-            node.stats.calls,
-            node.stats.sim_us,
-            node.stats.allocs,
-        );
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
-}
-
-fn write_span_events(out: &mut String, spans: &[Span]) {
     for (i, span) in spans.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -96,6 +44,8 @@ fn write_span_events(out: &mut String, spans: &[Span]) {
         }
         out.push_str("}}");
     }
+    out.push_str("],\"displayTimeUnit\":\"ms\"}");
+    out
 }
 
 #[cfg(test)]
@@ -125,35 +75,6 @@ mod tests {
         assert!(json.contains("\"parent\":\"1\""));
         assert!(json.contains("\"open\":\"true\""));
         assert!(json.contains("\"txn\":\"t\\\"1\""), "attrs are JSON-escaped");
-    }
-
-    #[test]
-    fn profile_merge_lays_children_inside_parents() {
-        use crate::prof::{Phase, Profiler};
-        let mut p = Profiler::new();
-        p.enter(Phase::StepExecute, SimTime(0));
-        p.enter(Phase::Schedule, SimTime(0));
-        p.exit(Phase::Schedule, SimTime(0));
-        p.exit(Phase::StepExecute, SimTime(0));
-        let json = to_chrome_trace_with_profile(&[span(1, None, Some(150))], &p.snapshot());
-        assert!(json.contains("\"cat\":\"dgf-prof\""));
-        assert!(json.contains("\"name\":\"step-execute\""));
-        assert!(json.contains("\"name\":\"schedule\""));
-        // The span events still render alongside the profile slices.
-        assert!(json.contains("\"name\":\"s1\""));
-        assert!(json.ends_with("],\"displayTimeUnit\":\"ms\"}"));
-        // Both profile slices start at the synthetic timeline origin
-        // (the child nests inside the parent's interval).
-        assert_eq!(json.matches("\"ts\":0,").count(), 2, "{json}");
-    }
-
-    #[test]
-    fn empty_profile_merge_matches_plain_export() {
-        let spans = [span(1, None, Some(150))];
-        assert_eq!(
-            to_chrome_trace_with_profile(&spans, &Default::default()),
-            to_chrome_trace(&spans)
-        );
     }
 
     #[test]

@@ -23,12 +23,13 @@
 //!
 //! Everything here is a pure function of the simulated schedule:
 //! sim-µs, integer parts-per-million, no wall clock, no floats. The
-//! wait-state taxonomy ([`WaitState`]), the alert lifecycle
-//! ([`AlertState`]) and the bottleneck rows ([`WhyBottleneck`]) are the
-//! `dgf-dgl` wire types, so reports carry them without translation.
+//! critical paths ([`WhyPath`]), the wait-state taxonomy
+//! ([`WaitState`]), the alert lifecycle ([`AlertState`]) and the
+//! bottleneck rows ([`WhyBottleneck`]) are the `dgf-dgl` wire types, so
+//! reports carry them without translation.
 
 use crate::span::{Span, SpanId, SpanKind};
-use dgf_dgl::{AlertState, WaitState, WhyBottleneck};
+use dgf_dgl::{AlertState, WaitState, WhyBottleneck, WhyPath, WhySegment};
 use dgf_simgrid::SimTime;
 use std::collections::BTreeMap;
 
@@ -50,61 +51,6 @@ pub struct WaitMark {
     pub until: SimTime,
     /// The blamed resource (pool label, window, link, ...).
     pub resource: String,
-}
-
-/// One classified segment of a critical path: `[from, until)` charged
-/// to `state` and blamed on `resource`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PathSegment {
-    /// Segment start, inclusive.
-    pub from: SimTime,
-    /// Segment end, exclusive.
-    pub until: SimTime,
-    /// The wait-state classification.
-    pub state: WaitState,
-    /// The blamed resource.
-    pub resource: String,
-    /// The flow-tree node the segment is anchored to (`/` for
-    /// flow-level time).
-    pub node: String,
-}
-
-impl PathSegment {
-    /// Segment length in sim-µs.
-    pub fn duration_us(&self) -> u64 {
-        self.until.0.saturating_sub(self.from.0)
-    }
-}
-
-/// One completed flow's critical path: a gap-free partition of its
-/// makespan into [`PathSegment`]s.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CriticalPath {
-    /// Transaction id.
-    pub txn: String,
-    /// Root flow name.
-    pub flow: String,
-    /// Root span start.
-    pub start: SimTime,
-    /// Root span end.
-    pub end: SimTime,
-    /// The trigger that spawned this flow, when trigger-spawned.
-    pub caused_by: Option<String>,
-    /// The segments, in time order.
-    pub segments: Vec<PathSegment>,
-}
-
-impl CriticalPath {
-    /// The flow makespan in sim-µs.
-    pub fn makespan_us(&self) -> u64 {
-        self.end.0.saturating_sub(self.start.0)
-    }
-
-    /// Sum of segment durations — equals [`CriticalPath::makespan_us`]
-    /// by construction.
-    pub fn segments_sum_us(&self) -> u64 {
-        self.segments.iter().map(PathSegment::duration_us).sum()
-    }
 }
 
 /// One SLA deadline objective and its alert lifecycle.
@@ -152,7 +98,7 @@ pub(crate) struct WhyStore {
     /// Positions in `marks` of each transaction's marks, in recording
     /// order, so a finishing flow reads only its own.
     marks_by_txn: BTreeMap<String, Vec<u32>>,
-    paths: Vec<CriticalPath>,
+    paths: Vec<WhyPath>,
     alerts: Vec<SlaAlert>,
     attributed_us: u64,
 }
@@ -183,7 +129,7 @@ impl WhyStore {
         }
     }
 
-    pub(crate) fn paths(&self) -> &[CriticalPath] {
+    pub(crate) fn paths(&self) -> &[WhyPath] {
         &self.paths
     }
 
@@ -261,7 +207,7 @@ impl WhyStore {
 /// back to `executing` (inside a step bound to a compute resource) or
 /// `lint/admission` (flow-level bookkeeping). Returns `None` when
 /// `root` is missing from `spans` or still open.
-pub fn critical_path(spans: &[Span], root: SpanId, marks: &[WaitMark]) -> Option<CriticalPath> {
+pub fn critical_path(spans: &[Span], root: SpanId, marks: &[WaitMark]) -> Option<WhyPath> {
     critical_path_with(spans, root, |txn| marks.iter().filter(|m| m.txn == txn).collect())
 }
 
@@ -271,7 +217,7 @@ fn critical_path_with<'m>(
     spans: &[Span],
     root: SpanId,
     marks_of: impl FnOnce(&str) -> Vec<&'m WaitMark>,
-) -> Option<CriticalPath> {
+) -> Option<WhyPath> {
     let root_span = spans.iter().find(|s| s.id == root)?;
     let end = root_span.end?;
     let txn = root_span.attr("txn").unwrap_or(&root_span.name).to_owned();
@@ -286,13 +232,13 @@ fn critical_path_with<'m>(
     let walker = Walker { children, caused_by: caused_by.clone(), marks };
     let mut segments = Vec::new();
     walker.walk(root_span, end, &mut segments);
-    segments.sort_by_key(|s| (s.from, s.until));
+    segments.sort_by_key(|s| (s.from_us, s.until_us));
     merge_adjacent(&mut segments);
-    Some(CriticalPath {
+    Some(WhyPath {
         txn,
         flow: root_span.name.clone(),
-        start: root_span.start,
-        end,
+        start_us: root_span.start.0,
+        end_us: end.0,
         caused_by,
         segments,
     })
@@ -301,17 +247,17 @@ fn critical_path_with<'m>(
 /// Coalesce time-adjacent segments with identical classification
 /// (queue-retry marks arrive in fixed-interval slices; reports read
 /// better as one row).
-fn merge_adjacent(segments: &mut Vec<PathSegment>) {
-    let mut merged: Vec<PathSegment> = Vec::with_capacity(segments.len());
+fn merge_adjacent(segments: &mut Vec<WhySegment>) {
+    let mut merged: Vec<WhySegment> = Vec::with_capacity(segments.len());
     for seg in segments.drain(..) {
         match merged.last_mut() {
             Some(last)
-                if last.until == seg.from
+                if last.until_us == seg.from_us
                     && last.state == seg.state
                     && last.resource == seg.resource
                     && last.node == seg.node =>
             {
-                last.until = seg.until;
+                last.until_us = seg.until_us;
             }
             _ => merged.push(seg),
         }
@@ -328,7 +274,7 @@ struct Walker<'a, 'm> {
 
 impl Walker<'_, '_> {
     /// Partition `[span.start, clip_end)` of `span` into segments.
-    fn walk(&self, span: &Span, clip_end: SimTime, out: &mut Vec<PathSegment>) {
+    fn walk(&self, span: &Span, clip_end: SimTime, out: &mut Vec<WhySegment>) {
         let node = self.node_of(span);
         // The compute resource this span's step was bound to, when the
         // scheduler recorded a successful binding under it.
@@ -364,69 +310,35 @@ impl Walker<'_, '_> {
             if child_end < cursor {
                 self.classify_gap(span, &node, compute.as_deref(), child_end, cursor, out);
             }
-            self.descend(span, &node, child, child_end, out);
+            self.descend(&node, child, child_end, out);
             cursor = child.start;
         }
     }
 
     /// Emit segments for the chosen child interval `[child.start,
-    /// child_end)`.
-    fn descend(
-        &self,
-        parent: &Span,
-        parent_node: &str,
-        child: &Span,
-        child_end: SimTime,
-        out: &mut Vec<PathSegment>,
-    ) {
-        match child.kind {
-            SpanKind::Flow | SpanKind::Request => self.walk(child, child_end, out),
-            SpanKind::NetworkTransfer => out.push(PathSegment {
-                from: child.start,
-                until: child_end,
-                state: WaitState::TransferOnLink,
-                resource: link_label(child),
-                node: parent_node.to_owned(),
-            }),
+    /// child_end)`, anchored at the parent's node.
+    fn descend(&self, node: &str, child: &Span, child_end: SimTime, out: &mut Vec<WhySegment>) {
+        let (state, resource) = match child.kind {
+            SpanKind::Flow | SpanKind::Request => return self.walk(child, child_end, out),
+            SpanKind::NetworkTransfer => (WaitState::TransferOnLink, link_label(child)),
             SpanKind::DgmsOp => {
                 let moved_bytes = child
                     .attr("bytes")
                     .and_then(|b| b.parse::<u64>().ok())
                     .is_some_and(|b| b > 0)
                     && (child.attr("src").is_some() || child.attr("dst").is_some());
-                let (state, resource) = if moved_bytes {
+                if moved_bytes {
                     (WaitState::TransferOnLink, link_label(child))
                 } else {
-                    (
-                        WaitState::Executing,
-                        child.attr("dst").unwrap_or("dgms").to_owned(),
-                    )
-                };
-                out.push(PathSegment {
-                    from: child.start,
-                    until: child_end,
-                    state,
-                    resource,
-                    node: parent_node.to_owned(),
-                });
+                    (WaitState::Executing, child.attr("dst").unwrap_or("dgms").to_owned())
+                }
             }
-            SpanKind::TriggerAction => out.push(PathSegment {
-                from: child.start,
-                until: child_end,
-                state: WaitState::TriggerWait,
-                resource: format!("trigger:{}", child.name),
-                node: parent_node.to_owned(),
-            }),
+            SpanKind::TriggerAction => (WaitState::TriggerWait, format!("trigger:{}", child.name)),
             // Binding decisions are instantaneous; a non-empty one is
             // engine bookkeeping.
-            SpanKind::SchedulerBinding => out.push(PathSegment {
-                from: child.start,
-                until: child_end,
-                state: WaitState::LintAdmission,
-                resource: "engine".to_owned(),
-                node: self.node_of(parent).to_owned(),
-            }),
-        }
+            SpanKind::SchedulerBinding => (WaitState::LintAdmission, "engine".to_owned()),
+        };
+        out.push(segment(child.start, child_end, state, resource, node));
     }
 
     /// Classify an uncovered gap `[from, until)` inside `span`: wait
@@ -441,7 +353,7 @@ impl Walker<'_, '_> {
         compute: Option<&str>,
         from: SimTime,
         until: SimTime,
-        out: &mut Vec<PathSegment>,
+        out: &mut Vec<WhySegment>,
     ) {
         let fallback = |seg_from: SimTime| -> (WaitState, String) {
             if let Some(compute) = compute {
@@ -474,26 +386,26 @@ impl Walker<'_, '_> {
             }
             if s > cursor {
                 let (state, resource) = fallback(cursor);
-                out.push(PathSegment { from: cursor, until: s, state, resource, node: node.to_owned() });
+                out.push(segment(cursor, s, state, resource, node));
             }
-            out.push(PathSegment {
-                from: s,
-                until: e,
-                state: mark.state,
-                resource: mark.resource.clone(),
-                node: node.to_owned(),
-            });
+            out.push(segment(s, e, mark.state, mark.resource.clone(), node));
             cursor = e;
         }
         if cursor < until {
             let (state, resource) = fallback(cursor);
-            out.push(PathSegment { from: cursor, until, state, resource, node: node.to_owned() });
+            out.push(segment(cursor, until, state, resource, node));
         }
     }
 
     fn node_of(&self, span: &Span) -> String {
         span.attr("node").unwrap_or("/").to_owned()
     }
+}
+
+/// The segment `[from, until)` charged to `state`, blamed on
+/// `resource` and anchored at `node`.
+fn segment(from: SimTime, until: SimTime, state: WaitState, resource: String, node: &str) -> WhySegment {
+    WhySegment { from_us: from.0, until_us: until.0, state, resource, node: node.to_owned() }
 }
 
 fn link_label(span: &Span) -> String {

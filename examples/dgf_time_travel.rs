@@ -141,7 +141,7 @@ fn print_diff(travel: &TimeTravel, a: u64, b: u64) {
     }
 }
 
-fn print_bisect(travel: &TimeTravel, what: &str, predicate: &BisectPredicate) {
+fn print_bisect(travel: &TimeTravel, what: &str, predicate: &BisectSpec) {
     match travel.bisect(predicate) {
         Ok(b) => match b.first_true {
             Some(o) => println!(
@@ -200,11 +200,11 @@ fn scripted(travel: &TimeTravel, txns: &[String; 4]) {
     print_bisect(
         travel,
         "completed",
-        &BisectPredicate::FlowState { transaction: t2.clone(), state: RunState::Completed },
+        &BisectSpec::State { transaction: t2.clone(), state: RunState::Completed },
     );
 
     println!("\n--- bisect: when did {t3} first stall? ---");
-    print_bisect(travel, "stalled", &BisectPredicate::Stalled { transaction: t3.clone() });
+    print_bisect(travel, "stalled", &BisectSpec::Stalled { transaction: t3.clone() });
 
     println!("\n--- perfetto ---");
     let out = std::env::var("DGF_PERFETTO_OUT").ok();
@@ -249,33 +249,20 @@ fn interactive(travel: &TimeTravel) {
             ["bisect", "stalled", txn] => print_bisect(
                 travel,
                 "stalled",
-                &BisectPredicate::Stalled { transaction: (*txn).to_owned() },
+                &BisectSpec::Stalled { transaction: (*txn).to_owned() },
             ),
-            ["bisect", "state", txn, state] => {
-                let state = [
-                    RunState::Pending,
-                    RunState::Running,
-                    RunState::Paused,
-                    RunState::Completed,
-                    RunState::Failed,
-                    RunState::Stopped,
-                    RunState::Skipped,
-                ]
-                .into_iter()
-                .find(|s| s.to_string() == *state);
-                match state {
-                    Some(state) => print_bisect(
-                        travel,
-                        "state",
-                        &BisectPredicate::FlowState { transaction: (*txn).to_owned(), state },
-                    ),
-                    None => println!("bisect state: unknown state {state:?}"),
-                }
-            }
+            ["bisect", "state", txn, state] => match RunState::parse(state) {
+                Some(state) => print_bisect(
+                    travel,
+                    "state",
+                    &BisectSpec::State { transaction: (*txn).to_owned(), state },
+                ),
+                None => println!("bisect state: unknown state {state:?}"),
+            },
             ["bisect", "var", txn, name, value] => print_bisect(
                 travel,
                 "variable",
-                &BisectPredicate::Variable {
+                &BisectSpec::Variable {
                     transaction: (*txn).to_owned(),
                     name: (*name).to_owned(),
                     value: (*value).to_owned(),

@@ -6,7 +6,7 @@
 //! the chaos suite kills engines with (see `tests/chaos.rs` and
 //! `docs/TIME_TRAVEL.md`).
 
-use datagridflows::dfms::{BisectPredicate, TimeTravel};
+use datagridflows::dfms::TimeTravel;
 use datagridflows::obs::{SLICE_BEGIN, SLICE_END};
 use datagridflows::prelude::*;
 use proptest::prelude::*;
@@ -223,7 +223,7 @@ fn bisect_stays_inside_the_probe_budget_and_is_exact() {
 
     let travel = TimeTravel::new(&path, LABEL, || dfms(3, 7));
     for (txn, what) in [(t1, "alpha"), (t2.clone(), "beta")] {
-        let predicate = BisectPredicate::FlowState { transaction: txn, state: RunState::Completed };
+        let predicate = BisectSpec::State { transaction: txn, state: RunState::Completed };
         let outcome = travel.bisect(&predicate).unwrap();
         assert!(
             outcome.probes <= budget,
@@ -234,15 +234,15 @@ fn bisect_stays_inside_the_probe_budget_and_is_exact() {
         let first = outcome.first_true.expect("both flows complete");
         // Exactness: true at `first`, false one ordinal earlier.
         let at = travel.materialize(Some(first)).unwrap();
-        assert!(predicate.eval(&at.engine), "{what}: predicate false at its first-true ordinal");
+        assert!(at.engine.holds(&predicate), "{what}: predicate false at its first-true ordinal");
         if first > 0 {
             let before = travel.materialize(Some(first - 1)).unwrap();
-            assert!(!predicate.eval(&before.engine), "{what}: predicate already true at {}", first - 1);
+            assert!(!before.engine.holds(&predicate), "{what}: predicate already true at {}", first - 1);
         }
     }
 
     // A predicate that never holds reports so after the single full probe.
-    let never = BisectPredicate::FlowState { transaction: t2, state: RunState::Paused };
+    let never = BisectSpec::State { transaction: t2, state: RunState::Paused };
     let outcome = travel.bisect(&never).unwrap();
     assert_eq!(outcome.first_true, None);
     assert_eq!(outcome.probes, 1);
