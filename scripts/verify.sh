@@ -49,14 +49,16 @@ for crate in dgf-simgrid dgf-dgms dgf-journal dgf-scheduler dgf-triggers; do
 done
 
 # Console gate: the two examples that print MD5 digests, the
-# federation, crash-recovery, attribution and time-travel consoles, and
-# the two ILM star builders (parallel and sequential for-each) must
-# print exactly the bytes pinned in tests/example_golden/ (dgf_why's
-# wire-format report is compared below). There is no regeneration
-# switch: a change to their output means editing the golden file by
-# hand in the same commit.
+# federation, crash-recovery, attribution and time-travel consoles, the
+# two ILM star builders (parallel and sequential for-each) and the two
+# consoles that print metadata-query results in namespace order (SCEC
+# derived products, trigger-curated objects) must print exactly the
+# bytes pinned in tests/example_golden/ (dgf_why's wire-format report
+# is compared below). There is no regeneration switch: a change to
+# their output means editing the golden file by hand in the same commit.
 for example in quickstart ucsd_md5_integrity dgf_fabric dgf_recover \
-    bbsrc_imploding_star cms_exploding_star dgf_why dgf_time_travel; do
+    bbsrc_imploding_star cms_exploding_star dgf_why dgf_time_travel \
+    scec_ingest trigger_automation; do
     if ! cargo run -q --example "$example" | cmp -s - "tests/example_golden/$example.stdout"; then
         echo "verify: $example stdout differs from tests/example_golden/$example.stdout" >&2
         cargo run -q --example "$example" | diff - "tests/example_golden/$example.stdout" | head -20 >&2 || true
