@@ -260,10 +260,10 @@ impl Dfms {
 
     /// Engine counters, derived from the `engine` scope of the metrics
     /// registry (the legacy shape; see [`Dfms::metrics_snapshot`] for
-    /// the full registry).
+    /// the full registry). Each is one registry lookup, so the call
+    /// costs the same however much history the engine holds.
     pub fn metrics(&self) -> EngineMetrics {
-        let s = self.obs.snapshot();
-        let c = |name: &str| s.counter("engine", name);
+        let c = |name: &str| self.obs.counter("engine", name);
         EngineMetrics {
             runs_submitted: c("runs.submitted"),
             runs_completed: c("runs.completed"),
@@ -1511,45 +1511,49 @@ impl Dfms {
     // ------------------------------------------------------------------
 
     fn start_step(&mut self, run_id: RunId, node_id: NodeId) {
-        // Restart memo: skip steps completed in an earlier transaction of
-        // this lineage.
-        let (lineage, path, is_restart) = {
-            let run = self.run_ref(run_id);
-            (run.lineage.clone(), run.path_of(node_id), run.options.lineage.is_some())
-        };
-        if is_restart && self.provenance.step_completed(&lineage, &path) {
-            self.obs.inc("engine", "steps.skipped.restart");
-            self.finish_node(run_id, node_id, RunState::Skipped, Some("restart: completed in an earlier transaction".into()));
-            return;
-        }
-        // Replay memo: the journal recorded this step as completed before
-        // the crash. Count it for `steps_skipped_restart`, then execute it
-        // anyway — replay re-derives every effect, it never trusts state
-        // it could recompute.
-        if let Some(journal) = self.journal.as_mut() {
-            if let Some(replay) = journal.replay.as_mut() {
-                if replay.memo.remove(&(lineage.clone(), path.clone())) {
+        let run = self.run_ref(run_id);
+        let is_restart = run.options.lineage.is_some();
+        let replaying = self.journal.as_ref().is_some_and(|journal| journal.replay.is_some());
+        // Both memos are keyed by lineage and node path; build the path
+        // only when one of them will read it.
+        if is_restart || replaying {
+            let path = run.path_of(node_id);
+            // Restart memo: skip steps completed in an earlier transaction
+            // of this lineage.
+            if is_restart && self.provenance.step_completed(&run.lineage, &path) {
+                self.obs.inc("engine", "steps.skipped.restart");
+                self.finish_node(run_id, node_id, RunState::Skipped, Some("restart: completed in an earlier transaction".into()));
+                return;
+            }
+            // Replay memo: the journal recorded this step as completed
+            // before the crash. Count it for `steps_skipped_restart`, then
+            // execute it anyway — replay re-derives every effect, it never
+            // trusts state it could recompute.
+            let key = (run.lineage.clone(), path);
+            if let Some(replay) = self.journal.as_mut().and_then(|journal| journal.replay.as_mut()) {
+                if replay.memo.remove(&key) {
                     replay.skips += 1;
                     self.obs.inc("engine", "steps.skipped.restart");
                 }
             }
         }
-        let (op, scope) = {
-            let run = self.run_ref(run_id);
-            (run.step(node_id).operation.clone(), run.node(node_id).scope.clone())
-        };
-        match op {
-            DglOperation::Assign { variable, expr } => match expr.eval(&scope) {
+        // The operation and the node's scope are read in place; each arm
+        // copies out only what it keeps.
+        let run = self.run_ref(run_id);
+        let scope = &run.node(node_id).scope;
+        match &run.step(node_id).operation {
+            DglOperation::Assign { variable, expr } => match expr.eval(scope) {
                 Ok(value) => {
+                    let variable = variable.clone();
                     self.run_mut(run_id).node_mut(node_id).scope.assign(&variable, value);
                     self.obs.inc("engine", "steps.executed");
                     self.finish_node(run_id, node_id, RunState::Completed, None);
                 }
                 Err(e) => self.step_failed(run_id, node_id, format!("assign: {e}")),
             },
-            DglOperation::Notify { message } => match interpolate(&message, &scope) {
+            DglOperation::Notify { message } => match interpolate(message, scope) {
                 Ok(rendered) => {
-                    let txn = self.run_ref(run_id).txn.clone();
+                    let txn = run.txn.clone();
                     self.notifications.push(Notification { time: self.now(), source: txn, message: rendered });
                     self.obs.inc("engine", "steps.executed");
                     self.finish_node(run_id, node_id, RunState::Completed, None);
@@ -1558,9 +1562,9 @@ impl Dfms {
             },
             DglOperation::Query { collection, attribute, value, into } => {
                 let result: Result<Vec<Value>, DfmsError> = (|| {
-                    let path = LogicalPath::parse(&interpolate(&collection, &scope)?)?;
-                    let attribute = interpolate(&attribute, &scope)?;
-                    let value = interpolate(&value, &scope)?;
+                    let path = LogicalPath::parse(&interpolate(collection, scope)?)?;
+                    let attribute = interpolate(attribute, scope)?;
+                    let value = interpolate(value, scope)?;
                     Ok(self
                         .grid
                         .query(&path, &MetaQuery::Eq(attribute, value))
@@ -1570,6 +1574,7 @@ impl Dfms {
                 })();
                 match result {
                     Ok(items) => {
+                        let into = into.clone();
                         self.run_mut(run_id).node_mut(node_id).scope.assign(&into, Value::List(items));
                         self.obs.inc("engine", "steps.executed");
                         self.finish_node(run_id, node_id, RunState::Completed, None);
@@ -1578,7 +1583,7 @@ impl Dfms {
                 }
             }
             DglOperation::Execute { .. } => self.start_execute(run_id, node_id),
-            dgms_op => self.start_dgms_op(run_id, node_id, dgms_op),
+            _ => self.start_dgms_op(run_id, node_id),
         }
     }
 
@@ -1641,20 +1646,18 @@ impl Dfms {
         })
     }
 
-    fn start_dgms_op(&mut self, run_id: RunId, node_id: NodeId, dgl_op: DglOperation) {
+    fn start_dgms_op(&mut self, run_id: RunId, node_id: NodeId) {
         let now = self.now();
-        let (scope, user, depth) = {
-            let run = self.run_ref(run_id);
-            (run.node(node_id).scope.clone(), run.user.clone(), run.options.trigger_depth)
-        };
-        let op = match self.build_dgms_op(&dgl_op, &scope) {
+        let run = self.run_ref(run_id);
+        let node = run.node(node_id);
+        let op = match self.build_dgms_op(&run.step(node_id).operation, &node.scope) {
             Ok(op) => op,
             Err(e) => {
                 self.step_failed(run_id, node_id, e.to_string());
                 return;
             }
         };
-        let node_span = self.run_ref(run_id).node(node_id).span;
+        let (user, depth, node_span) = (run.user.clone(), run.options.trigger_depth, node.span);
         // BEFORE triggers observe the intent.
         let before_firings = self.triggers.before_op(&self.grid, &op, &user, now, depth);
         self.handle_firings(before_firings, node_span);

@@ -180,24 +180,29 @@ impl Run {
         id
     }
 
-    /// The hierarchical path of a node (`/`, `/0`, `/0/3`...).
+    /// The hierarchical path of a node (`/`, `/0`, `/0/3`...). Written
+    /// leaf first, digits included, into one buffer that is then
+    /// reversed in place: the path is ASCII.
     pub(crate) fn path_of(&self, id: NodeId) -> String {
-        let mut indices = Vec::new();
-        let mut at = id;
-        while let Some(parent) = self.node(at).parent {
-            indices.push(self.node(at).index_in_parent);
-            at = parent;
+        let mut reversed = Vec::new();
+        let mut node = self.node(id);
+        while let Some(parent) = node.parent {
+            let mut index = node.index_in_parent;
+            loop {
+                reversed.push(b'0' + (index % 10) as u8);
+                index /= 10;
+                if index == 0 {
+                    break;
+                }
+            }
+            reversed.push(b'/');
+            node = self.node(parent);
         }
-        if indices.is_empty() {
+        if reversed.is_empty() {
             return "/".to_owned();
         }
-        indices.reverse();
-        let mut s = String::new();
-        for i in indices {
-            s.push('/');
-            s.push_str(&i.to_string());
-        }
-        s
+        reversed.reverse();
+        String::from_utf8(reversed).expect("node paths are ASCII")
     }
 
     /// Resolve a hierarchical path back to a node.
@@ -305,6 +310,23 @@ mod tests {
         assert_eq!(run.find("/0/9"), None);
         assert_eq!(run.find("/0/0/0"), None, "steps have no children");
         assert_eq!(run.find("/x"), None);
+    }
+
+    #[test]
+    fn paths_write_every_digit_of_every_level() {
+        let mut run = test_run();
+        let root = run.root();
+        let outer = run.alloc(Some(root), "outer".into(), NodeBody::flow(DglFlow::sequence("outer", vec![])));
+        let mut twelfth = outer;
+        for i in 0..=12 {
+            twelfth = run.alloc(Some(outer), format!("f{i}"), NodeBody::flow(DglFlow::sequence("f", vec![])));
+        }
+        let steps: Vec<NodeId> = (0..4).map(|i| attach_step(&mut run, twelfth, &format!("s{i}"))).collect();
+        assert_eq!(run.path_of(root), "/");
+        assert_eq!(run.path_of(twelfth), "/0/12");
+        assert_eq!(run.path_of(steps[3]), "/0/12/3");
+        assert_eq!(run.path_of(steps[0]), "/0/12/0");
+        assert_eq!(run.find("/0/12/3"), Some(steps[3]));
     }
 
     #[test]

@@ -10,10 +10,13 @@ use std::fmt;
 /// * no empty segments, no `.` or `..` segments,
 /// * segments never contain `/` or control characters.
 ///
-/// Ordering is segment-wise (not plain string order), which makes every
-/// subtree a contiguous range in ordered maps: `/a`'s descendants sort
-/// between `/a` and any sibling, even siblings like `/a!b` whose first
-/// byte is below `/`.
+/// Ordering compares the normalized path bytes with `/` ranked below
+/// every other byte. That is exactly segment-wise order: no segment
+/// holds `/` or a control character, so a `/` at the first difference
+/// means "this segment ended" and sorts first, as does a path that ends
+/// first. It keeps every subtree a contiguous range in ordered maps:
+/// `/a`'s descendants sort between `/a` and any sibling, even siblings
+/// like `/a!b` whose next byte is below `/` in plain string order.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LogicalPath {
     // Stored normalized, without a trailing slash (root is "").
@@ -22,7 +25,22 @@ pub struct LogicalPath {
 
 impl Ord for LogicalPath {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.segments().cmp(other.segments())
+        let (a, b) = (self.inner.as_bytes(), other.inner.as_bytes());
+        match a.iter().zip(b).position(|(x, y)| x != y) {
+            Some(i) => rank(a[i]).cmp(&rank(b[i])),
+            None => a.len().cmp(&b.len()),
+        }
+    }
+}
+
+/// A path byte's rank in [`LogicalPath`] order: the separator sorts
+/// below every byte a segment can hold (segments hold no control
+/// characters, so none of them is 0).
+fn rank(byte: u8) -> u8 {
+    if byte == b'/' {
+        0
+    } else {
+        byte
     }
 }
 

@@ -499,3 +499,42 @@ fn tape_migration_is_slower_but_cheaper() {
         .unwrap();
     assert!(d.as_secs() >= 100, "3 GB to 30 MB/s tape takes ≥ 100 s, got {d}");
 }
+
+#[test]
+fn siblings_below_and_above_the_separator_keep_namespace_order() {
+    // After `/a`, the next byte of each sibling sorts below `/` (space,
+    // `!`, `.`) or above it (`é`), so plain string order would interleave
+    // them with `/a`'s subtree; namespace order must not.
+    let mut g = grid();
+    let t = SimTime::ZERO;
+    let collections = ["/a", "/a/b", "/a!x", "/a b", "/a.c", "/aé"];
+    for c in collections {
+        g.execute("arun", Operation::CreateCollection { path: path(c) }, t).unwrap();
+    }
+    for c in collections {
+        let obj = format!("{c}/obj");
+        ingest(&mut g, "arun", &obj, 1, "site0-disk");
+        g.execute("arun", Operation::SetMetadata { path: path(&obj), triple: MetaTriple::new("tag", "x") }, t).unwrap();
+    }
+    let paths = |v: &[&str]| v.iter().map(|p| path(p)).collect::<Vec<_>>();
+    let tagged = MetaQuery::Has("tag".into());
+
+    assert_eq!(g.list(&LogicalPath::root()).unwrap(), paths(&["/a", "/a b", "/a!x", "/a.c", "/aé", "/home"]));
+    assert_eq!(g.list(&path("/a")).unwrap(), paths(&["/a/b", "/a/obj"]));
+    assert_eq!(
+        g.query(&LogicalPath::root(), &tagged),
+        paths(&["/a/b/obj", "/a/obj", "/a b/obj", "/a!x/obj", "/a.c/obj", "/aé/obj"])
+    );
+    assert_eq!(g.query(&path("/a"), &tagged), paths(&["/a/b/obj", "/a/obj"]), "siblings stay out of /a's subtree");
+
+    // A collection rename re-keys its subtree and nothing else.
+    g.execute("arun", Operation::Rename { path: path("/a"), to: path("/a-y") }, t).unwrap();
+    assert_eq!(g.list(&LogicalPath::root()).unwrap(), paths(&["/a b", "/a!x", "/a-y", "/a.c", "/aé", "/home"]));
+    assert_eq!(g.list(&path("/a-y")).unwrap(), paths(&["/a-y/b", "/a-y/obj"]));
+    assert_eq!(
+        g.query(&LogicalPath::root(), &tagged),
+        paths(&["/a b/obj", "/a!x/obj", "/a-y/b/obj", "/a-y/obj", "/a.c/obj", "/aé/obj"])
+    );
+    assert_eq!(g.stat_object(&path("/a-y/b/obj")).unwrap().path, path("/a-y/b/obj"));
+    assert!(!g.exists(&path("/a")) && !g.exists(&path("/a/b/obj")));
+}

@@ -163,3 +163,42 @@ proptest! {
         prop_assert_eq!(parsed, reparsed);
     }
 }
+
+/// The characters path segments draw from in the order property: bytes
+/// below `/` (space, `!`, `-`, `.`), digits, letters and multi-byte
+/// UTF-8. A small alphabet makes shared prefixes common.
+const SEGMENT_CHARS: [char; 10] = [' ', '!', '-', '.', '0', '9', 'A', 'a', '\u{e9}', '\u{2603}'];
+
+/// A normalized path from segments of `SEGMENT_CHARS` indices; the
+/// relative segments `.` and `..` are skipped.
+fn path_of(segments: &[Vec<usize>]) -> LogicalPath {
+    let mut text = String::new();
+    for segment in segments {
+        let segment: String = segment.iter().map(|&i| SEGMENT_CHARS[i]).collect();
+        if segment != "." && segment != ".." {
+            text.push('/');
+            text.push_str(&segment);
+        }
+    }
+    LogicalPath::parse(if text.is_empty() { "/" } else { &text }).unwrap()
+}
+
+fn segments() -> impl Strategy<Value = Vec<Vec<usize>>> {
+    proptest::collection::vec(proptest::collection::vec(0usize..SEGMENT_CHARS.len(), 1..4), 0..3)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// `LogicalPath` order is segment-wise order, the reference kept
+    /// here, and agrees with equality.
+    #[test]
+    fn path_order_is_segment_order(common in segments(), tail_a in segments(), tail_b in segments()) {
+        let a = path_of(&[common.clone(), tail_a].concat());
+        let b = path_of(&[common, tail_b].concat());
+        let reference = a.segments().cmp(b.segments());
+        prop_assert_eq!(a.cmp(&b), reference, "{} vs {}", a, b);
+        prop_assert_eq!(b.cmp(&a), reference.reverse());
+        prop_assert_eq!(reference.is_eq(), a == b);
+    }
+}

@@ -151,6 +151,12 @@ impl Obs {
         self.metrics.observe(scope, name, d);
     }
 
+    /// The counter `scope/name` as recorded here, or 0 when absent: one
+    /// registry lookup, where [`Obs::snapshot`] copies every metric.
+    pub fn counter(&self, scope: &str, name: &str) -> u64 {
+        self.metrics.counter(scope, name)
+    }
+
     /// All retained events, oldest first.
     pub fn events(&self) -> Vec<ObsEvent> {
         self.recorder.events()
@@ -411,8 +417,7 @@ impl Obs {
     /// the root span is unknown or still open. Reads only this flow's
     /// spans and marks, so its cost does not grow with history.
     pub fn why_flow_finished(&mut self, root: SpanContext) {
-        let spans = self.traces.trace_spans(root.trace);
-        self.why.flow_finished(&spans, root.span);
+        self.why.flow_finished(self.traces.trace_span_refs(root.trace), root.span);
     }
 
     /// Every completed flow's critical path, in completion order.

@@ -101,16 +101,34 @@ impl MetricValue {
 /// let snap = reg.snapshot();
 /// assert_eq!(snap.counter("engine", "steps.executed"), 1);
 /// assert_eq!(snap.counter("engine", "bytes.moved"), 1024);
+/// // One counter, read without a snapshot:
+/// assert_eq!(reg.counter("engine", "bytes.moved"), 1024);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    values: BTreeMap<(String, String), MetricValue>,
+    /// Keyed by scope; each scope's metrics sorted by name. A lookup
+    /// borrows both keys, and iterating gives `(scope, name)` order.
+    values: BTreeMap<String, Vec<(String, MetricValue)>>,
 }
 
 impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The slot of `scope/name`, created as `initial` on first use. Only
+    /// a first use copies the key strings.
+    fn slot(&mut self, scope: &str, name: &str, initial: MetricValue) -> &mut MetricValue {
+        if !self.values.contains_key(scope) {
+            self.values.insert(scope.to_owned(), Vec::new());
+        }
+        let names = self.values.get_mut(scope).expect("inserted above");
+        let at = names.binary_search_by(|(n, _)| n.as_str().cmp(name)).unwrap_or_else(|at| {
+            names.insert(at, (name.to_owned(), initial));
+            at
+        });
+        &mut names[at].1
     }
 
     /// Increment the counter `scope/name` by one.
@@ -120,11 +138,7 @@ impl MetricsRegistry {
 
     /// Increment the counter `scope/name` by `n`.
     pub fn add(&mut self, scope: &str, name: &str, n: u64) {
-        let entry = self
-            .values
-            .entry((scope.to_owned(), name.to_owned()))
-            .or_insert(MetricValue::Counter(0));
-        if let MetricValue::Counter(v) = entry {
+        if let MetricValue::Counter(v) = self.slot(scope, name, MetricValue::Counter(0)) {
             *v += n;
         } else {
             debug_assert!(false, "metric {scope}/{name} is not a counter");
@@ -133,19 +147,25 @@ impl MetricsRegistry {
 
     /// Set the gauge `scope/name` to `value`.
     pub fn gauge_set(&mut self, scope: &str, name: &str, value: i64) {
-        self.values.insert((scope.to_owned(), name.to_owned()), MetricValue::Gauge(value));
+        *self.slot(scope, name, MetricValue::Gauge(value)) = MetricValue::Gauge(value);
     }
 
     /// Fold a duration into the histogram `scope/name`.
     pub fn observe(&mut self, scope: &str, name: &str, d: Duration) {
-        let entry = self
-            .values
-            .entry((scope.to_owned(), name.to_owned()))
-            .or_insert(MetricValue::Histogram(SimHistogram::default()));
-        if let MetricValue::Histogram(h) = entry {
+        if let MetricValue::Histogram(h) = self.slot(scope, name, MetricValue::Histogram(SimHistogram::default())) {
             h.observe(d);
         } else {
             debug_assert!(false, "metric {scope}/{name} is not a histogram");
+        }
+    }
+
+    /// The counter `scope/name`, or 0 when absent or not a counter. One
+    /// lookup: it copies nothing and reads no other metric.
+    pub fn counter(&self, scope: &str, name: &str) -> u64 {
+        let names = self.values.get(scope).map_or(&[][..], Vec::as_slice);
+        match names.binary_search_by(|(n, _)| n.as_str().cmp(name)).map(|at| names[at].1) {
+            Ok(MetricValue::Counter(v)) => v,
+            _ => 0,
         }
     }
 
@@ -156,10 +176,12 @@ impl MetricsRegistry {
             samples: self
                 .values
                 .iter()
-                .map(|((scope, name), value)| MetricSample {
-                    scope: scope.clone(),
-                    name: name.clone(),
-                    value: *value,
+                .flat_map(|(scope, names)| {
+                    names.iter().map(move |(name, value)| MetricSample {
+                        scope: scope.clone(),
+                        name: name.clone(),
+                        value: *value,
+                    })
                 })
                 .collect(),
         }
@@ -252,16 +274,16 @@ impl MetricsSnapshot {
     }
 
     /// Insert (or replace) a sample, keeping `(scope, name)` order.
+    /// Only an inserted sample copies the key strings.
     pub fn insert(&mut self, scope: &str, name: &str, value: MetricValue) {
-        let key = (scope.to_owned(), name.to_owned());
         match self
             .samples
-            .binary_search_by(|s| (s.scope.clone(), s.name.clone()).cmp(&key))
+            .binary_search_by(|s| (s.scope.as_str(), s.name.as_str()).cmp(&(scope, name)))
         {
             Ok(i) => self.samples[i].value = value,
             Err(i) => self.samples.insert(
                 i,
-                MetricSample { scope: key.0, name: key.1, value },
+                MetricSample { scope: scope.to_owned(), name: name.to_owned(), value },
             ),
         }
     }

@@ -93,8 +93,13 @@ impl TraceStore {
     /// The spans of one trace, in creation order; empty for a trace
     /// this store never allocated. Reads only that trace's spans.
     pub(crate) fn trace_spans(&self, trace: TraceId) -> Vec<Span> {
+        self.trace_span_refs(trace).cloned().collect()
+    }
+
+    /// [`TraceStore::trace_spans`], borrowed: nothing is copied.
+    pub(crate) fn trace_span_refs(&self, trace: TraceId) -> impl Iterator<Item = &Span> + Clone {
         let positions = slot(trace).and_then(|t| self.by_trace.get(t));
-        positions.into_iter().flatten().map(|&pos| self.spans[pos as usize].clone()).collect()
+        positions.into_iter().flatten().map(|&pos| &self.spans[pos as usize])
     }
 
     fn get_mut(&mut self, id: SpanId) -> Option<&mut Span> {

@@ -117,7 +117,7 @@ impl WhyStore {
     /// Analyze one finished flow's span tree and append its critical
     /// path (no-op when the root span is unknown or still open). Reads
     /// only the flow's own wait marks.
-    pub(crate) fn flow_finished(&mut self, spans: &[Span], root: SpanId) {
+    pub(crate) fn flow_finished<'a>(&mut self, spans: impl IntoIterator<Item = &'a Span, IntoIter: Clone>, root: SpanId) {
         let (marks, by_txn) = (&self.marks, &self.marks_by_txn);
         let path = critical_path_with(spans, root, |txn| {
             let positions = by_txn.get(txn).into_iter().flatten();
@@ -211,14 +211,16 @@ pub fn critical_path(spans: &[Span], root: SpanId, marks: &[WaitMark]) -> Option
     critical_path_with(spans, root, |txn| marks.iter().filter(|m| m.txn == txn).collect())
 }
 
-/// [`critical_path`], with `marks_of` handing over the marks of the
-/// root's transaction (in recording order) once the root is known.
-fn critical_path_with<'m>(
-    spans: &[Span],
+/// [`critical_path`] over borrowed spans, with `marks_of` handing over
+/// the marks of the root's transaction (in recording order) once the
+/// root is known.
+fn critical_path_with<'a, 'm>(
+    spans: impl IntoIterator<Item = &'a Span, IntoIter: Clone>,
     root: SpanId,
     marks_of: impl FnOnce(&str) -> Vec<&'m WaitMark>,
 ) -> Option<WhyPath> {
-    let root_span = spans.iter().find(|s| s.id == root)?;
+    let spans = spans.into_iter();
+    let root_span = spans.clone().find(|s| s.id == root)?;
     let end = root_span.end?;
     let txn = root_span.attr("txn").unwrap_or(&root_span.name).to_owned();
     let caused_by = root_span.attr("cause.trigger").map(str::to_owned);

@@ -7,8 +7,9 @@ use std::fmt;
 pub struct Position {
     /// 1-based line number.
     pub line: u32,
-    /// 1-based column number (in bytes within the line; DGL is ASCII-heavy
-    /// enough that byte columns are what editors expect).
+    /// 1-based column number, counted in characters (Unicode scalar
+    /// values) within the line: a multi-byte character such as `é`
+    /// advances it by one, not by its UTF-8 length.
     pub column: u32,
 }
 

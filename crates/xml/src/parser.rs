@@ -449,6 +449,15 @@ mod tests {
     }
 
     #[test]
+    fn columns_count_characters_not_bytes() {
+        // `é` is two bytes of UTF-8 but one column.
+        let ascii = parse("<a>x</b>").unwrap_err().position().unwrap();
+        let accented = parse("<a>é</b>").unwrap_err().position().unwrap();
+        assert_eq!(accented, ascii);
+        assert!(ascii.column > 1);
+    }
+
+    #[test]
     fn hostile_nesting_is_rejected_not_a_stack_overflow() {
         let deep = format!("{}{}", "<a>".repeat(100_000), "</a>".repeat(100_000));
         assert!(matches!(parse(&deep), Err(XmlError::Unsupported { .. })));

@@ -229,3 +229,28 @@ fn scenario_reaches_every_pinned_path() {
     assert_eq!(outcomes("halves"), [StepOutcome::Failed], "one failing child fails the parallel node once");
     assert_eq!(outcomes("split"), [StepOutcome::Failed]);
 }
+
+#[test]
+fn engine_metrics_read_the_registry_counters() {
+    let d = scenario();
+    let snap = d.obs().snapshot();
+    let c = |name: &str| snap.counter("engine", name);
+    let expected = EngineMetrics {
+        runs_submitted: c("runs.submitted"),
+        runs_completed: c("runs.completed"),
+        runs_failed: c("runs.failed"),
+        steps_executed: c("steps.executed"),
+        steps_skipped_virtual: c("steps.skipped.virtual"),
+        steps_skipped_restart: c("steps.skipped.restart"),
+        dgms_ops: c("dgms.ops"),
+        bytes_moved: c("bytes.moved"),
+        exec_tasks: c("exec.tasks"),
+        trigger_firings: c("trigger.firings"),
+        retries: c("step.retries"),
+    };
+    assert_eq!(d.metrics(), expected);
+    let m = d.metrics();
+    for (name, value) in [("runs.submitted", m.runs_submitted), ("runs.failed", m.runs_failed), ("dgms.ops", m.dgms_ops), ("trigger.firings", m.trigger_firings)] {
+        assert!(value > 0, "the scenario reaches engine/{name}");
+    }
+}
