@@ -1,5 +1,5 @@
 //! The BENCH trajectory runner: executes the engine-throughput,
-//! journal-replay, DGL-parse, and workspace-audit workloads under the
+//! journal-replay, DGL-parse and fabric workloads under the
 //! deterministic phase profiler (`dgf-prof`) and emits
 //! `BENCH_engine.json`.
 //!
@@ -127,26 +127,6 @@ fn dgl_parse(iters: usize, docs: usize, steps: usize) -> WorkloadResult {
         profile = d.profile_snapshot();
     }
     WorkloadResult { name: "dgl_parse", size: docs as u64, wall: wall_stats(&samples), profile }
-}
-
-/// Verify-gate shape: the DGA determinism audit sweeping the whole
-/// workspace — walk, lex every crate source, run the rule passes over
-/// the authoritative set, render the report. Size is files scanned.
-/// The auditor runs outside the engine, so its phase profile is empty;
-/// only the wall numbers (report-only) and the scan size land here.
-fn audit_workspace(iters: usize) -> WorkloadResult {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut samples = Vec::with_capacity(iters);
-    let mut files = 0u64;
-    for _ in 0..iters {
-        let started = Instant::now();
-        let report = datagridflows::audit::audit_workspace(&root).expect("workspace audit");
-        let rendered = report.render();
-        samples.push(started.elapsed().as_nanos() as u64);
-        assert!(report.clean(), "workspace must audit clean:\n{rendered}");
-        files = report.files_scanned as u64;
-    }
-    WorkloadResult { name: "audit_workspace", size: files, wall: wall_stats(&samples), profile: ProfileSnapshot::default() }
 }
 
 /// A routable unit of federation work: create one distinct object under
@@ -363,7 +343,6 @@ fn main() {
         engine_throughput(iters, steps),
         journal_replay(iters, commands),
         dgl_parse(iters, docs, 50),
-        audit_workspace(iters),
     ];
     results.extend(fabric_scaling(fab_iters, fab_flows, fab_steps, !smoke));
     results.push(fabric_manyflows(many_flows));

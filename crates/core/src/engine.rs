@@ -13,8 +13,7 @@ use dgf_dgl::{
     StatusReport, Step, TelemetryQuery, TelemetryReport, UserDefinedRule, ValidationReport, Value,
 };
 use dgf_dgms::{
-    DataGrid, EventKind, LogicalPath, MetaQuery, MetaTriple, NamespaceEvent, Operation,
-    PendingOp, Permission,
+    DataGrid, EventKind, LogicalPath, MetaQuery, MetaTriple, Operation, PendingOp, Permission,
 };
 use dgf_ilm::IlmJob;
 use dgf_obs::{EventKind as ObsKind, Obs, Phase, SpanContext, SpanKind};
@@ -663,7 +662,7 @@ impl Dfms {
         self.grid.users().get(&request.user).map_err(|_| DfmsError::UnknownUser(request.user.clone()))?;
         flow.validate()?;
         self.lint_gate(&flow, request.vo.as_deref())?;
-        self.spawn_run(flow, &request.user, request.vo.clone(), &request.id, RunOptions::default())
+        self.spawn_run(flow, &request.user, request.vo.clone(), RunOptions::default())
     }
 
     /// Convenience: submit a flow for `user` with default options.
@@ -687,7 +686,7 @@ impl Dfms {
         self.grid.users().get(user).map_err(|_| DfmsError::UnknownUser(user.to_owned()))?;
         flow.validate()?;
         self.lint_gate(&flow, None)?;
-        self.spawn_run(flow, user, None, "api", options)
+        self.spawn_run(flow, user, None, options)
     }
 
     /// Run the static analyzer over a flow against this grid: def/use,
@@ -730,7 +729,6 @@ impl Dfms {
         flow: Flow,
         user: &str,
         vo: Option<String>,
-        _request_id: &str,
         options: RunOptions,
     ) -> Result<String, DfmsError> {
         let txn = format!("t{}", self.next_txn);
@@ -1709,7 +1707,7 @@ impl Dfms {
             Ok(events) => {
                 self.obs.span_end_at(op_span, now);
                 let mismatch = events.iter().any(|e| e.kind == EventKind::ChecksumMismatch);
-                self.after_events(&events, run_id, Some(op_span));
+                self.after_events(run_id, Some(op_span));
                 if was_verify && mismatch {
                     let detail = events
                         .iter()
@@ -1733,7 +1731,7 @@ impl Dfms {
     /// Poll AFTER triggers for freshly emitted events. `cause` is the
     /// span of the activity that emitted them; firings parent their
     /// action spans under it.
-    fn after_events(&mut self, _events: &[NamespaceEvent], run_id: RunId, cause: Option<SpanContext>) {
+    fn after_events(&mut self, run_id: RunId, cause: Option<SpanContext>) {
         let depth = self.run_ref(run_id).options.trigger_depth;
         self.obs.prof_enter(Phase::TriggerEval);
         let firings = self.triggers.poll(&self.grid, depth);
@@ -1973,12 +1971,12 @@ impl Dfms {
             self.obs.span_attr(t_span, "bytes", &plan.bytes.to_string());
             let op = Operation::Replicate { path: plan.path.clone(), src: Some(src_name), dst: dst_name };
             match self.grid.execute(&user, op, now + stage_total) {
-                Ok((d, events)) => {
+                Ok((d, _)) => {
                     stage_total += d;
                     self.obs.span_end_at(t_span, now + stage_total);
                     self.obs.inc("engine", "dgms.ops");
                     self.obs.add("engine", "bytes.moved", plan.bytes);
-                    self.after_events(&events, run_id, Some(t_span));
+                    self.after_events(run_id, Some(t_span));
                 }
                 Err(dgf_dgms::DgmsError::ReplicaExists { .. }) => {
                     // Another task staged it meanwhile; fine.
@@ -2039,10 +2037,10 @@ impl Dfms {
             self.obs.span_attr(t_span, "dst", &resource);
             self.obs.span_attr(t_span, "bytes", &bytes.to_string());
             match self.grid.execute(&user, Operation::Ingest { path: path.clone(), size: bytes, resource }, now) {
-                Ok((_, events)) => {
+                Ok(_) => {
                     self.obs.span_end_at(t_span, now);
                     self.obs.inc("engine", "dgms.ops");
-                    self.after_events(&events, run_id, Some(t_span));
+                    self.after_events(run_id, Some(t_span));
                     output_paths.push(path);
                 }
                 Err(dgf_dgms::DgmsError::AlreadyExists(_)) => {
@@ -2366,10 +2364,10 @@ impl Dfms {
             other => {
                 let user = self.run_ref(run_id).user.clone();
                 let op = self.build_dgms_op(other, &scope)?;
-                let (_, events) = self.grid.execute(&user, op, now)?;
+                self.grid.execute(&user, op, now)?;
                 self.obs.inc("engine", "dgms.ops");
                 let node_span = self.run_ref(run_id).node(node_id).span;
-                self.after_events(&events, run_id, node_span);
+                self.after_events(run_id, node_span);
             }
         }
         Ok(())

@@ -229,7 +229,7 @@ pub(crate) fn check_genesis(records: &[Record], label: &str) -> Result<(), DfmsE
 /// memo that [`dgf_dgl::ReplayStats::steps_skipped_restart`] accounts
 /// against. Takes the records by value: command bodies move into the
 /// script and transition bodies are stripped in place, never cloned.
-#[allow(clippy::type_complexity)]
+#[expect(clippy::type_complexity, reason = "the three parts are named where the one caller destructures them")]
 pub(crate) fn partition(
     records: Vec<Record>,
 ) -> (Vec<Element>, Vec<(u64, String)>, BTreeSet<(String, String)>) {

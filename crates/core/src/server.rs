@@ -163,11 +163,17 @@ impl DfmsServer {
                 while let Ok(message) = receiver.recv() {
                     match message {
                         ClientMessage::Request { xml, reply, enqueued_at } => {
-                            // dgf-audit: allow(DGA002) reason="queue-wait histograms in ServerStats are report-only contention telemetry; no engine state derives from them"
+                            #[expect(
+                                clippy::disallowed_methods,
+                                reason = "queue-wait histograms in ServerStats are report-only contention telemetry; no engine state derives from them"
+                            )]
                             let dequeued = Instant::now();
                             let response = {
                                 let mut engine = worker_engine.lock();
-                                // dgf-audit: allow(DGA002) reason="lock-acquire histograms in ServerStats are report-only contention telemetry; no engine state derives from them"
+                                #[expect(
+                                    clippy::disallowed_methods,
+                                    reason = "lock-acquire histograms in ServerStats are report-only contention telemetry; no engine state derives from them"
+                                )]
                                 let locked = Instant::now();
                                 // Record the waits before handling so a
                                 // profileQuery carried by this request
@@ -294,7 +300,10 @@ impl ServerHandle {
             .send(ClientMessage::Request {
                 xml: xml.to_owned(),
                 reply: reply_tx,
-                // dgf-audit: allow(DGA002) reason="enqueue timestamp only feeds the report-only queue-wait histogram; replies and engine state never read it"
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "enqueue timestamp only feeds the report-only queue-wait histogram; replies and engine state never read it"
+                )]
                 enqueued_at: Instant::now(),
             })
             .ok()?;
@@ -387,6 +396,7 @@ impl ServerHandle {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests journal into the host's temp dir; test code never replays")]
 mod tests {
     use super::*;
     use dgf_dgl::{DataGridRequest, DglOperation, FlowBuilder, ResponseBody, RunState};

@@ -112,12 +112,6 @@ pub mod lint {
     pub use dgf_lint::*;
 }
 
-/// The workspace determinism auditor (re-export of `dgf-audit`). See
-/// `docs/DETERMINISM.md`.
-pub mod audit {
-    pub use dgf_audit::*;
-}
-
 /// The write-ahead journal behind DfMS crash recovery (re-export of
 /// `dgf-journal`). See `docs/RECOVERY.md`.
 pub mod journal {

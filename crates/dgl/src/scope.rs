@@ -5,12 +5,10 @@
 //! assign — variables of its ancestors, but its own declarations vanish
 //! when it exits.
 
-// Non-authoritative keyed-lookup code (dgf-dgl is outside the
-// `audit.toml` authoritative set): every read goes through `get(name)`
-// and the only iteration is over the `Vec` of frames, never over a
-// map's entries, so hash ordering cannot leak into behaviour. See
-// docs/DETERMINISM.md for the contract this exemption mirrors.
-#![allow(clippy::disallowed_types)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "keyed lookup only: every read goes through `get(name)` and the only iteration is over the `Vec` of frames, so hash order cannot reach replay"
+)]
 
 use crate::value::Value;
 use std::collections::HashMap;

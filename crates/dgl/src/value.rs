@@ -83,6 +83,7 @@ impl Value {
             return true;
         }
         match (self.as_f64(), other.as_f64()) {
+            #[expect(clippy::float_cmp, reason = "DGL defines `==` on numbers as exact equality after coercion (`1 == 1.0`)")]
             (Some(a), Some(b)) => a == b,
             _ => self.to_string() == other.to_string(),
         }

@@ -108,17 +108,17 @@ impl DataGrid {
     /// Validate, cost, and reserve an operation. No namespace change is
     /// visible until [`complete`](DataGrid::complete).
     pub fn begin(&mut self, principal: &str, op: Operation, _now: SimTime) -> Result<PendingOp, DgmsError> {
-        let user = self.users.get(principal)?.clone();
+        let user = self.users.get(principal)?;
         let admin = self.users.is_admin(principal);
         match &op {
             Operation::CreateCollection { path } => {
                 self.check_absent(path)?;
-                self.check_parent_writable(path, &user, admin)?;
+                self.check_parent_writable(path, user, admin)?;
                 Ok(self.metadata_op(op, principal, PlannedEffect::CreateCollection))
             }
             Operation::RemoveCollection { path } => {
                 let _ = self.collection(path)?;
-                self.check_perm(path, &user, admin, Permission::Own, "own")?;
+                self.check_perm(path, user, admin, Permission::Own, "own")?;
                 if self.entries.range(path.clone()..).skip(1).take(1).any(|(p, _)| p.is_under(path)) {
                     return Err(DgmsError::NotEmpty(path.clone()));
                 }
@@ -126,7 +126,7 @@ impl DataGrid {
             }
             Operation::Ingest { path, size, resource } => {
                 self.check_absent(path)?;
-                self.check_parent_writable(path, &user, admin)?;
+                self.check_parent_writable(path, user, admin)?;
                 let storage = self.resolve_resource(resource)?;
                 self.check_storage_online(storage)?;
                 self.reserve_space(storage, *size)?;
@@ -144,7 +144,7 @@ impl DataGrid {
                 })
             }
             Operation::Replicate { path, src, dst } => {
-                let (src_id, dst_id, size) = self.plan_copy(path, src.as_deref(), dst, &user, admin)?;
+                let (src_id, dst_id, size) = self.plan_copy(path, src.as_deref(), dst, user, admin)?;
                 self.reserve_space(dst_id, size)?;
                 let route = self
                     .topology
@@ -162,7 +162,7 @@ impl DataGrid {
                 })
             }
             Operation::Migrate { path, from, to } => {
-                let (src_id, dst_id, size) = self.plan_copy(path, Some(from.as_str()), to, &user, admin)?;
+                let (src_id, dst_id, size) = self.plan_copy(path, Some(from.as_str()), to, user, admin)?;
                 self.reserve_space(dst_id, size)?;
                 let route = self
                     .topology
@@ -181,7 +181,7 @@ impl DataGrid {
             }
             Operation::Trim { path, resource } => {
                 let obj = self.object(path)?;
-                self.check_perm(path, &user, admin, Permission::Write, "write")?;
+                self.check_perm(path, user, admin, Permission::Write, "write")?;
                 let storage = self.resolve_resource(resource)?;
                 if obj.replica_on(storage).is_none() {
                     return Err(DgmsError::NoUsableReplica(path.clone()));
@@ -195,15 +195,15 @@ impl DataGrid {
             }
             Operation::Delete { path } => {
                 let obj = self.object(path)?;
-                self.check_perm(path, &user, admin, Permission::Own, "own")?;
+                self.check_perm(path, user, admin, Permission::Own, "own")?;
                 let freed = obj.replicas.iter().map(|r| (r.storage, obj.size)).collect();
                 Ok(self.metadata_op(op, principal, PlannedEffect::Delete { freed }))
             }
             Operation::Rename { path, to } => {
                 let _ = self.entry(path)?; // object or collection
-                self.check_perm(path, &user, admin, Permission::Own, "own")?;
+                self.check_perm(path, user, admin, Permission::Own, "own")?;
                 self.check_absent(to)?;
-                self.check_parent_writable(to, &user, admin)?;
+                self.check_parent_writable(to, user, admin)?;
                 if to.is_under(path) {
                     return Err(DgmsError::InvalidPath {
                         path: to.to_string(),
@@ -214,7 +214,7 @@ impl DataGrid {
             }
             Operation::Checksum { path, resource, register } => {
                 let obj = self.object(path)?;
-                self.check_perm(path, &user, admin, Permission::Read, "read")?;
+                self.check_perm(path, user, admin, Permission::Read, "read")?;
                 let storage = match resource {
                     Some(name) => {
                         let id = self.resolve_resource(name)?;
@@ -242,12 +242,12 @@ impl DataGrid {
             }
             Operation::SetMetadata { path, .. } => {
                 self.entry(path)?;
-                self.check_perm(path, &user, admin, Permission::Write, "write")?;
+                self.check_perm(path, user, admin, Permission::Write, "write")?;
                 Ok(self.metadata_op(op, principal, PlannedEffect::SetMetadata))
             }
             Operation::SetPermission { path, grantee, .. } => {
                 self.entry(path)?;
-                self.check_perm(path, &user, admin, Permission::Own, "own")?;
+                self.check_perm(path, user, admin, Permission::Own, "own")?;
                 let _ = self.users.get(grantee)?;
                 Ok(self.metadata_op(op, principal, PlannedEffect::SetPermission))
             }

@@ -76,7 +76,7 @@ impl MetaQuery {
     }
 
     /// Negation helper.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(clippy::should_implement_trait, reason = "a named builder step beside `and` and `or`, not an operator")]
     pub fn not(self) -> MetaQuery {
         MetaQuery::Not(Box::new(self))
     }

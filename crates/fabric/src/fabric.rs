@@ -1248,6 +1248,7 @@ impl Fabric {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests write bus and shard journals into the host's temp dir; test code never replays")]
 mod tests {
     use super::*;
     use dgf_dgl::{DglOperation, FlowBuilder, FlowStatusQuery, ResponseBody};

@@ -41,7 +41,6 @@
 //! ```
 
 mod envelope;
-#[allow(clippy::module_inception)]
 mod fabric;
 mod routing;
 

@@ -93,6 +93,7 @@ impl DomainValueModel {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin the exact values the domain-value model returns")]
 mod tests {
     use super::*;
 

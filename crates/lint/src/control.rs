@@ -5,11 +5,10 @@
 //! engine will never exercise (only `beforeEntry`/`afterExit` fire) or
 //! will reject at runtime (`execute`/`query` inside rule actions).
 
-// Non-authoritative membership-only sets (dgf-lint is outside the
-// `audit.toml` authoritative set): the `seen` set answers insert/contains
-// and is never iterated, so hash ordering cannot reach the diagnostics.
-// See docs/DETERMINISM.md for the contract this exemption mirrors.
-#![allow(clippy::disallowed_types)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "membership only: the `seen` set answers insert/contains and is never iterated, so hash order cannot reach the diagnostics"
+)]
 
 use crate::join_path;
 use dgf_dgl::{

@@ -14,12 +14,10 @@
 //! * only `beforeEntry`/`afterExit` rules fire; other rules are dead
 //!   code, so defects inside them are downgraded from error to warning.
 
-// Non-authoritative membership-only sets (dgf-lint is outside the
-// `audit.toml` authoritative set): `query_targets` and `bound_lists`
-// answer insert/contains and are never iterated, so hash ordering
-// cannot reach the diagnostics. See docs/DETERMINISM.md for the
-// contract this exemption mirrors.
-#![allow(clippy::disallowed_types)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "membership only: `query_targets` and `bound_lists` answer insert/contains and are never iterated, so hash order cannot reach the diagnostics"
+)]
 
 use crate::join_path;
 use dgf_dgl::{

@@ -352,7 +352,7 @@ impl Obs {
     /// Close a span at an explicit simulation time.
     pub fn span_end_at(&mut self, ctx: SpanContext, time: SimTime) {
         if let Some((kind, dur)) = self.traces.end(ctx, time) {
-            self.metrics.observe("trace", &format!("span.{}", kind.name()), Duration(dur));
+            self.metrics.observe("trace", kind.histogram_name(), Duration(dur));
         }
     }
 

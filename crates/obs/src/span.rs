@@ -57,6 +57,19 @@ impl SpanKind {
         }
     }
 
+    /// The name of this kind's duration histogram in the `trace/` metrics
+    /// scope: `span.` and [`name`](SpanKind::name).
+    pub(crate) fn histogram_name(&self) -> &'static str {
+        match self {
+            SpanKind::Flow => "span.flow",
+            SpanKind::Request => "span.request",
+            SpanKind::SchedulerBinding => "span.scheduler-binding",
+            SpanKind::DgmsOp => "span.dgms-op",
+            SpanKind::NetworkTransfer => "span.network-transfer",
+            SpanKind::TriggerAction => "span.trigger-action",
+        }
+    }
+
     /// Parse the wire token back into a kind.
     pub fn parse(s: &str) -> Option<SpanKind> {
         SpanKind::ALL.into_iter().find(|k| k.name() == s)
@@ -129,6 +142,7 @@ mod tests {
     fn kind_names_round_trip() {
         for kind in SpanKind::ALL {
             assert_eq!(SpanKind::parse(kind.name()), Some(kind));
+            assert_eq!(kind.histogram_name(), format!("span.{}", kind.name()));
         }
         assert_eq!(SpanKind::parse("bogus"), None);
     }

@@ -80,6 +80,7 @@ impl CostBreakdown {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the expected costs are exact sums of exactly representable terms")]
 mod tests {
     use super::*;
 

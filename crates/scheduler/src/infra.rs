@@ -77,6 +77,7 @@ impl InfraDescription {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the expected values are exactly representable")]
 mod tests {
     use super::*;
 

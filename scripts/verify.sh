@@ -13,6 +13,20 @@ fi
 cargo build --release
 cargo test -q
 cargo clippy --all-targets -- -D warnings
+
+# Replay determinism: clippy enforces the contract through the lints the
+# replay packages opt into (docs/DETERMINISM.md). Two of its rules have
+# no clippy lint and are plain text searches: float ordering through
+# `.partial_cmp(` in the grid and engine crates (DGA005; `float_cmp`
+# covers `==`), and boxed trait objects on the step hot path (DGA006).
+if grep -rn '\.partial_cmp(' crates/{core,dgms,fabric,journal,scheduler,simgrid,triggers}/src; then
+    echo "verify: .partial_cmp( in replay code; order floats with total_cmp (DGA005)" >&2
+    exit 1
+fi
+if grep -n 'Box<dyn' crates/core/src/engine.rs crates/core/src/run.rs; then
+    echo "verify: Box<dyn on the step hot path; use an enum or an arena (DGA006)" >&2
+    exit 1
+fi
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Documentation gates: the operator-facing crates must stay fully
@@ -233,36 +247,10 @@ if ! cmp -s "$why_a" tests/example_golden/dgf_why.report.xml; then
     exit 1
 fi
 
-# Determinism audit: the dgf-audit workspace sweep must come back
-# CLEAN (every DGA finding fixed or waived-with-reason), and the
-# auditor is subject to its own contract — two runs must render
-# byte-identical reports. The self-check and golden-corpus suites ride
-# along.
-audit_a=$(mktemp) audit_b=$(mktemp)
-trap 'rm -f "$trace_a" "$trace_b" "$scrape_a" "$scrape_b" "$lint_a" "$lint_b" "$recover_a"* "$recover_b"* "$fabric_a" "$fabric_b" "$travel_a" "$travel_b" "$profile_a" "$profile_b" "$why_a" "$why_b" "$why_console" "$audit_a" "$audit_b"' EXIT
-if ! cargo run -q --example dgf_audit >"$audit_a"; then
-    echo "verify: dgf_audit found non-waived determinism hazards" >&2
-    tail -30 "$audit_a" >&2
-    exit 1
-fi
-cargo run -q --example dgf_audit >"$audit_b"
-if ! cmp -s "$audit_a" "$audit_b"; then
-    echo "verify: dgf-audit reports differ between reruns" >&2
-    diff "$audit_a" "$audit_b" | head -20 >&2
-    exit 1
-fi
-if ! grep -q '^verdict: CLEAN' "$audit_a"; then
-    echo "verify: dgf-audit workspace verdict is not CLEAN" >&2
-    tail -30 "$audit_a" >&2
-    exit 1
-fi
-cargo test -q -p datagridflows --test audit_workspace
-cargo test -q -p datagridflows --test audit_corpus
-
 # The BENCH trajectory runner must execute end-to-end (smoke mode) and
 # emit a report naming every workload inside a trajectory entry.
 ./scripts/bench_report --smoke >/dev/null
-for workload in engine_throughput journal_replay dgl_parse audit_workspace \
+for workload in engine_throughput journal_replay dgl_parse \
     fabric_scaling_s1 fabric_scaling_s2 fabric_scaling_s4 fabric_manyflows; do
     if ! grep -q "\"name\": \"$workload\"" target/BENCH_engine.smoke.json; then
         echo "verify: bench_report smoke run is missing workload $workload" >&2
